@@ -215,12 +215,6 @@ def build_parser():
             help="node budget for certified searches (default 10^8; "
             "PLUMBLAT_BUDGET also honored)",
         )
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="search parallelism (results are independent of this)",
-        )
         return p
 
     add("validate", help="parse and validate a graph")

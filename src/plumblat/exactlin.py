@@ -5,6 +5,7 @@ point is used anywhere in the package.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 
 def identity(n):
@@ -106,12 +107,6 @@ def symmetric_pivots(m):
     return pivots
 
 
-def ceil_div(a, b):
-    if b < 0:
-        a, b = -a, -b
-    return -((-a) // b)
-
-
 def floor_frac(x):
     return x.numerator // x.denominator
 
@@ -124,8 +119,6 @@ def ceil_sqrt_frac(x):
     """Smallest integer m >= 0 with m*m >= x, for a nonnegative rational x."""
     if x < 0:
         raise ValueError("negative radicand")
-    from math import isqrt
-
     p, q = x.numerator, x.denominator
     m = isqrt(p // q)
     while m * m * q < p:

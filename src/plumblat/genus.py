@@ -17,6 +17,7 @@ from .cycles import (
     Cycle,
     estar_decompose,
     in_minus_lipman_cone,
+    is_dual_lattice_member,
     pairing,
     restrict_R,
     restrict_cycle,
@@ -73,8 +74,6 @@ def interval_floor_line_bundle(
         comps = tuple(entries)
         if sum(f for _, f in comps) != floor:
             raise InternalError("component floors do not sum to the global floor")
-    from .cycles import is_dual_lattice_member
-
     return IntervalFloorReport(
         floor=floor,
         minimizer=cert.minimizer,

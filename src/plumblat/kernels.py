@@ -1,54 +1,39 @@
-"""Kernel selection: compiled box-minimization core with pure-Python fallback.
+"""Box minimization of integer quadratics, in exact Python integers.
 
-The compiled extension (``_boxmin``, built from Cython) is used whenever
-it imported successfully and the instance provably fits in signed 64-bit
-arithmetic; otherwise the arbitrary-precision Python implementation in
-``_boxmin_py`` takes over.  Set ``PLUMBLAT_PURE=1`` to force the pure
-path (used by the benchmark and the equivalence tests).
+The objective is f(l) = l^T P l + q . l with P symmetric positive
+definite over the integer box [lo, hi]; the reported argmin is the
+lexicographically smallest minimizer.  Every box walk (``box_values``,
+``iter_box``) visits points in the same lexicographic order.
 """
-
-import os
-
-from . import _boxmin_py
-
-try:
-    from . import _boxmin  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - build-environment dependent
-    _boxmin = None
-
-_INT64_SAFE = 1 << 61
-
-
-def _force_pure():
-    return os.environ.get("PLUMBLAT_PURE", "") not in ("", "0")
 
 
 def backend_name():
-    if _boxmin is not None and not _force_pure():
-        return "cython"
     return "python"
 
 
-def _magnitude_bound(P, q, lo, hi):
-    """Upper bound on |l^T P l + q.l| and every intermediate over the box."""
-    m = [max(abs(a), abs(b)) for a, b in zip(lo, hi)]
-    n = len(m)
-    total = 0
-    for i in range(n):
-        total += abs(q[i]) * m[i]
-        for j in range(n):
-            total += abs(P[i][j]) * m[i] * m[j]
-    return total
+def _check_box(lo, hi):
+    n = len(lo)
+    if n == 0 or len(hi) != n:
+        raise ValueError("bad box")
+    for a, b in zip(lo, hi):
+        if a > b:
+            raise ValueError("empty box")
+    return n
 
 
-def _impl(P, q, lo, hi):
-    if (
-        _boxmin is not None
-        and not _force_pure()
-        and _magnitude_bound(P, q, lo, hi) < _INT64_SAFE
-    ):
-        return _boxmin
-    return _boxmin_py
+def _best_last(a, b, lo, hi):
+    """Smallest integer t in [lo, hi] minimizing a*t^2 + b*t (a > 0)."""
+    # floor of the continuous minimizer -b/(2a)
+    t = (-b) // (2 * a)
+    if t < lo:
+        t = lo
+    elif t >= hi:
+        t = hi
+    else:
+        # compare t and t+1; strict: keep t on ties (smaller)
+        if a * (2 * t + 1) + b < 0:
+            t = t + 1
+    return t, a * t * t + b * t
 
 
 def box_size(lo, hi):
@@ -59,13 +44,70 @@ def box_size(lo, hi):
 
 
 def min_quadratic_box(P, q, lo, hi):
-    """Exact min and lexicographically smallest argmin over the integer box."""
-    return _impl(P, q, lo, hi).min_quadratic_box(P, q, lo, hi)
+    """Minimize l^T P l + q.l over the box; returns (value, argmin tuple)."""
+    n = _check_box(lo, hi)
+    last = n - 1
+    A = P[last][last]
+    point = list(lo)
+    best_val = None
+    best_point = None
+    while True:
+        # partial value over coordinates 0..n-2 and linear term for the last
+        c = 0
+        b = q[last]
+        for i in range(last):
+            li = point[i]
+            row = P[i]
+            c += q[i] * li
+            c += row[i] * li * li
+            for j in range(i + 1, last):
+                c += 2 * row[j] * li * point[j]
+            b += 2 * P[last][i] * li
+        t, inner = _best_last(A, b, lo[last], hi[last])
+        val = c + inner
+        if best_val is None or val < best_val:
+            best_val = val
+            point[last] = t
+            best_point = tuple(point)
+        # odometer over the outer coordinates, last-but-one fastest
+        if last == 0:
+            break
+        k = last - 1
+        while k >= 0:
+            if point[k] < hi[k]:
+                point[k] += 1
+                break
+            point[k] = lo[k]
+            k -= 1
+        if k < 0:
+            break
+    return best_val, best_point
 
 
 def box_values(P, q, lo, hi):
-    """All objective values over the box, points in lexicographic order."""
-    return _impl(P, q, lo, hi).box_values(P, q, lo, hi)
+    """All values of l^T P l + q.l over the box, lexicographic point order."""
+    n = _check_box(lo, hi)
+    point = list(lo)
+    out = []
+    while True:
+        v = 0
+        for i in range(n):
+            li = point[i]
+            row = P[i]
+            v += q[i] * li + row[i] * li * li
+            for j in range(i + 1, n):
+                v += 2 * row[j] * li * point[j]
+        out.append(v)
+        k = n - 1
+        while k >= 0:
+            if point[k] < hi[k]:
+                point[k] += 1
+                break
+            point[k] = lo[k]
+            k -= 1
+        if k < 0:
+            break
+    return out
 
 
 def iter_box(lo, hi):

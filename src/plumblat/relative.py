@@ -29,7 +29,8 @@ from .cycles import (
     parse_cycle,
     restrict_R,
 )
-from .chimin import DEFAULT_BUDGET, _shifted_quadratic, chi
+from .chimin import DEFAULT_BUDGET, _shifted_quadratic
+from .genus import _component_cycle, interval_floor_line_bundle
 from . import kernels
 
 
@@ -109,8 +110,6 @@ class GenericNaturalOracle(H1Oracle):
         key = tuple(l.coeffs)
         if key in self._cache:
             return self._cache[key]
-        from .genus import interval_floor_line_bundle, _component_cycle
-
         fixed = meet(self.z - l, self.z1)
         total = 0
         if not fixed.is_zero:
@@ -184,12 +183,16 @@ class RelReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _box_objective(z: Cycle, lp: Cycle, oracle: H1Oracle, budget):
-    """Scaled values of chi(-l'+l) - oracle(l) over [0, z], lexicographic.
+def _evaluate(z, z1, lp, oracle, budget):
+    """One lexicographic pass over [0, z] of chi(-l'+l) - oracle(l).
 
-    Returns (values, denominator 2D, lo, hi); the true objective at point
-    k is chi(-l') + values[k] / (2D).
+    Values are scaled by 2D: the objective at l is chi(-l') + v / (2D).
+    The pass keeps the value at l = 0, the first later point whose value
+    does not exceed it (the witness), and the running strict minimum,
+    whose point is then the lexicographically smallest argmin.
     """
+    if oracle.z != z or oracle.z1 != z1:
+        raise PreconditionFailed("oracle is not bound to this (Z, Z1) pair")
     g = z.graph
     lo = (0,) * g.n
     hi = z.int_coeffs()
@@ -198,36 +201,26 @@ def _box_objective(z: Cycle, lp: Cycle, oracle: H1Oracle, budget):
     if size > budget:
         raise BoxTooLarge(size, budget)
     P, q, d = _shifted_quadratic(g, -lp)
-    values = kernels.box_values(P, q, lo, hi)
     scale = 2 * d
-    out = []
+    values = kernels.box_values(P, q, lo, hi)
+    base = best = best_point = witness = None
     for point, v in zip(kernels.iter_box(lo, hi), values):
-        h = oracle.value(Cycle(g, point))
-        out.append(v - scale * h)
-    return out, scale, lo, hi
-
-
-def _evaluate(z, z1, lp, oracle, budget):
-    if oracle.z != z or oracle.z1 != z1:
-        raise PreconditionFailed("oracle is not bound to this (Z, Z1) pair")
-    g = z.graph
-    values, scale, lo, hi = _box_objective(z, lp, oracle, budget)
-    points = list(kernels.iter_box(lo, hi))
-    base = values[0]  # l = 0 is the first lexicographic point
-    best = min(values)
-    argmin = Cycle(g, points[values.index(best)])
-    witness = None
-    for point, v in zip(points[1:], values[1:]):
-        if v <= base:
-            witness = Cycle(g, point)
-            break
-    rel_h1 = -Fraction(best, scale)
+        v -= scale * oracle.value(Cycle(g, point))
+        if base is None:  # l = 0 is the first lexicographic point
+            base = best = v
+            best_point = point
+            continue
+        if witness is None and v <= base:
+            witness = point
+        if v < best:
+            best = v
+            best_point = point
     return RelReport(
         dominant=witness is None,
-        witness=witness,
-        rel_h1=rel_h1,
-        argmin=argmin,
-        nodes=len(values),
+        witness=None if witness is None else Cycle(g, witness),
+        rel_h1=-Fraction(best, scale),
+        argmin=Cycle(g, best_point),
+        nodes=size,
         diagnostics={"oracle_source": oracle.source},
     )
 

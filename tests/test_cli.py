@@ -362,16 +362,8 @@ def test_unknown_vertex_exits_2(gfile, capsys):
 def test_determinism_byte_identical(gfile, capsys):
     path = gfile(T237)
     outputs = set()
-    for workers in ("1", "8", "1"):
-        code, out, _ = run(
-            capsys,
-            "invariants",
-            "--graph",
-            path,
-            "--json",
-            "--workers",
-            workers,
-        )
+    for _ in range(3):
+        code, out, _err = run(capsys, "invariants", "--graph", path, "--json")
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1

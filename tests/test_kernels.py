@@ -2,20 +2,9 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from plumblat import _boxmin_py
-from plumblat.kernels import backend_name, box_size, box_values, iter_box
-
-try:
-    from plumblat import _boxmin
-except ImportError:
-    _boxmin = None
-
-needs_compiled = pytest.mark.skipif(
-    _boxmin is None, reason="compiled kernel not built"
-)
+from plumblat import kernels
+from plumblat.kernels import box_size, box_values, iter_box
 
 
 def random_instance(rng, n, span=4, weight=6):
@@ -53,63 +42,25 @@ def test_pure_matches_brute_force():
     for _ in range(150):
         P, q, lo, hi = random_instance(rng, rng.randint(1, 4))
         m, arg, vals = brute(P, q, lo, hi)
-        got_m, got_arg = _boxmin_py.min_quadratic_box(P, q, lo, hi)
+        got_m, got_arg = kernels.min_quadratic_box(P, q, lo, hi)
         assert (got_m, got_arg) == (m, arg)
-        assert _boxmin_py.box_values(P, q, lo, hi) == vals
+        assert kernels.box_values(P, q, lo, hi) == vals
 
 
-@needs_compiled
-def test_compiled_matches_pure():
-    rng = random.Random(13)
-    for _ in range(300):
-        P, q, lo, hi = random_instance(rng, rng.randint(1, 5))
-        assert _boxmin.min_quadratic_box(
-            P, q, lo, hi
-        ) == _boxmin_py.min_quadratic_box(P, q, lo, hi)
-        assert _boxmin.box_values(P, q, lo, hi) == _boxmin_py.box_values(
-            P, q, lo, hi
-        )
-
-
-@needs_compiled
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_compiled_matches_pure_hypothesis(data):
-    n = data.draw(st.integers(1, 4))
-    offdiag = st.integers(-3, 3)
-    P = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            P[i][j] = P[j][i] = data.draw(offdiag)
-    for i in range(n):
-        P[i][i] = sum(abs(x) for x in P[i]) + data.draw(st.integers(1, 9))
-    q = [data.draw(st.integers(-20, 20)) for _ in range(n)]
-    lo = [data.draw(st.integers(-5, 2)) for _ in range(n)]
-    hi = [a + data.draw(st.integers(0, 5)) for a in lo]
-    assert _boxmin.min_quadratic_box(
-        P, q, lo, hi
-    ) == _boxmin_py.min_quadratic_box(P, q, lo, hi)
-
-
-def test_dispatch_falls_back_on_large_magnitudes():
-    """Values past the int64 guard must route to the pure kernel and stay
-    exact."""
+def test_large_magnitudes_stay_exact():
+    """Values far past 64-bit range come out exact."""
     big = 10**12
     P = [[1]]
     q = [big]
     got = box_values(P, q, [0], [3])
     assert got == [0, 1 + big, 4 + 2 * big, 9 + 3 * big]
-    m, arg = _boxmin_py.min_quadratic_box(P, [-2 * big], [0], [2 * big])
+    m, arg = kernels.min_quadratic_box(P, [-2 * big], [0], [2 * big])
     assert arg == (big,)
     assert m == -big * big
 
 
-def test_env_override_forces_pure(monkeypatch):
-    monkeypatch.setenv("PLUMBLAT_PURE", "1")
-    assert backend_name() == "python"
-    monkeypatch.setenv("PLUMBLAT_PURE", "0")
-    if _boxmin is not None:
-        assert backend_name() == "cython"
+def test_backend_name():
+    assert kernels.backend_name() == "python"
 
 
 def test_iter_box_order_and_size():
@@ -124,14 +75,14 @@ def test_argmin_is_lexicographically_smallest_on_flat_objective():
     P = [[1, 0], [0, 1]]
     q = [0, 0]
     # symmetric box: minimum 0 attained only at origin
-    assert _boxmin_py.min_quadratic_box(P, q, [-2, -2], [2, 2]) == (0, (0, 0))
+    assert kernels.min_quadratic_box(P, q, [-2, -2], [2, 2]) == (0, (0, 0))
     # shifted so several points tie at the boundary
-    m, arg = _boxmin_py.min_quadratic_box([[1, 0], [0, 1]], [0, 0], [1, -3], [3, 3])
+    m, arg = kernels.min_quadratic_box([[1, 0], [0, 1]], [0, 0], [1, -3], [3, 3])
     assert (m, arg) == (1, (1, 0))
 
 
 def test_empty_and_bad_boxes_rejected():
     with pytest.raises(ValueError):
-        _boxmin_py.min_quadratic_box([[1]], [0], [2], [1])
+        kernels.min_quadratic_box([[1]], [0], [2], [1])
     with pytest.raises(ValueError):
-        _boxmin_py.box_values([[1]], [0], [], [])
+        kernels.box_values([[1]], [0], [], [])

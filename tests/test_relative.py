@@ -12,6 +12,7 @@ from plumblat import (
     TableOracle,
     ValidationError,
     ZeroOracle,
+    chi,
     estar,
     interval_floor_line_bundle,
     parse_oracle_file,
@@ -37,6 +38,44 @@ def test_reldom_examples():
     zero = ZeroOracle(E, E)
     assert reldom_check(E, E, Cycle.zero(a1), zero).dominant
     assert reldom_check(E, E, -estar(a1, "v"), zero).dominant
+
+
+def test_reports_match_brute_force():
+    """Every report field against plain enumeration of
+    chi(-l'+l) - oracle(l): the witness is the lexicographically smallest
+    violating l > 0 and the argmin the smallest minimizer."""
+    rng = random.Random(101)
+    for _ in range(60):
+        g = random_tree(rng, max_n=3, euler_range=(-4, -1))
+        z = Cycle(g, [rng.randint(0, 2) for _ in range(g.n)])
+        z1 = Cycle(g, [rng.randint(0, int(c)) for c in z.coeffs])
+        if rng.random() < 0.5:
+            lp = random_rat_cycle(rng, g)
+        else:
+            lp = Cycle(g, [rng.randint(-2, 2) for _ in range(g.n)])
+        zc, z1c = z.int_coeffs(), z1.int_coeffs()
+
+        def draw(pt):
+            fixed = [min(a - b, c) for a, b, c in zip(zc, pt, z1c)]
+            return rng.randint(0, 2) if any(fixed) else 0
+
+        table = box_table(z, draw)
+        oracle = TableOracle(z, z1, table)
+        points = list(itertools.product(*[range(c + 1) for c in zc]))
+        obj = {pt: chi(-lp + Cycle(g, pt)) - table[pt] for pt in points}
+        best = min(obj.values())
+        violating = [pt for pt in points[1:] if obj[pt] <= obj[points[0]]]
+        witness = Cycle(g, violating[0]) if violating else None
+        argmin = Cycle(g, min(pt for pt in points if obj[pt] == best))
+        for report in (
+            reldom_check(z, z1, lp, oracle),
+            relgen_h1(z, z1, lp, oracle),
+        ):
+            assert report.dominant == (witness is None)
+            assert report.witness == witness
+            assert report.rel_h1 == chi(-lp) - best
+            assert report.argmin == argmin
+            assert report.nodes == len(points)
 
 
 def test_reldom_huge_oracle_value_blocks_dominance():
