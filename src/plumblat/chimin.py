@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd
+from operator import mul
 
 from .errors import BoxTooLarge, InternalError, PreconditionFailed
 from .graph import PlumbingGraph, intersection_data
-from .cycles import Cycle, pairing
+from .cycles import Cycle, common_denominator
 from . import exactlin, kernels
 
 DEFAULT_BUDGET = 10**8
@@ -29,16 +30,30 @@ DEFAULT_BUDGET = 10**8
 @lru_cache(maxsize=None)
 def anticanonical_cycle(g: PlumbingGraph) -> Cycle:
     """The rational cycle solving the adjunction equations
-    (-Z_K + E_v, E_v) + 2 = 0, i.e. (Z_K, E_v) = E_v^2 + 2 for all v."""
-    b = [Fraction(e + 2) for e in g.euler]
-    m = [list(row) for row in intersection_data(g).matrix]
-    return Cycle(g, exactlin.solve(m, b))
+    (-Z_K + E_v, E_v) + 2 = 0, i.e. (Z_K, E_v) = E_v^2 + 2 for all v,
+    so Z_K = I^-1 (e + 2) = adj (e + 2) / det."""
+    data = intersection_data(g)
+    k = [e + 2 for e in g.euler]
+    det = data.det
+    return Cycle(
+        g, [Fraction(sum(map(mul, row, k)), det) for row in data.adjugate]
+    )
+
+
+def _chi_scaled(g: PlumbingGraph, den: int, x) -> Fraction:
+    """chi of the cycle with integer numerators x over den."""
+    lin = sum(xv * (e + 2) for xv, e in zip(x, g.euler))
+    quad = sum(map(mul, x, g.intersect(x)))
+    return Fraction(den * lin - quad, 2 * den * den)
 
 
 def chi(lp: Cycle) -> Fraction:
-    """chi(l') = -(l', l' - Z_K)/2, exact."""
-    zk = anticanonical_cycle(lp.graph)
-    return -pairing(lp, lp - zk) / 2
+    """chi(l') = -(l', l' - Z_K)/2 = ((l', Z_K) - (l', l'))/2, exact.
+
+    By adjunction (l', Z_K) = sum_v l'_v (E_v^2 + 2), so Z_K itself is
+    not needed; the sums run over the integer numerators of l'.
+    """
+    return _chi_scaled(lp.graph, *common_denominator(lp.coeffs))
 
 
 # -- Laufer algorithms -----------------------------------------------------
@@ -88,10 +103,7 @@ def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
     zc = list(z.int_coeffs())
     l = [0] * n
     # p = I (lp - l), updated incrementally
-    p = [
-        sum(Fraction(m[i][j]) * lp.coeffs[j] for j in range(n))
-        for i in range(n)
-    ]
+    p = g.intersect(lp.coeffs)
     while True:
         v = next(
             (i for i in range(n) if zc[i] - l[i] > 0 and p[i] < 0), None
@@ -119,21 +131,19 @@ class MinChiCertificate:
 
 
 def _shifted_quadratic(g: PlumbingGraph, x0: Cycle):
-    """Integer data (P, q, D) with 2*D*(chi(x0 + l) - chi(x0)) = l^T P l + q.l."""
-    data = intersection_data(g)
-    m = data.matrix
-    n = g.n
-    zk = anticanonical_cycle(g)
-    w = [
-        sum(
-            Fraction(m[i][j]) * (zk.coeffs[j] - 2 * x0.coeffs[j])
-            for j in range(n)
-        )
-        for i in range(n)
-    ]
-    d = lcm(*(f.denominator for f in w)) if n else 1
-    P = [[-m[i][j] * d for j in range(n)] for i in range(n)]
-    q = [int(f * d) for f in w]
+    """Integer data (P, q, D) with 2*D*(chi(x0 + l) - chi(x0)) = l^T P l + q.l.
+
+    The linear part is w = I (Z_K - 2 x0) = (e + 2) - 2 I x0 by
+    adjunction; with x0 = x / den it is W / den for integer W, and D is
+    the least common denominator of w in lowest terms.
+    """
+    m = intersection_data(g).matrix
+    den, x = common_denominator(x0.coeffs)
+    w = [den * (e + 2) - 2 * y for e, y in zip(g.euler, g.intersect(x))]
+    common = gcd(den, *w)
+    d = den // common
+    P = [[-v * d for v in row] for row in m]
+    q = [wi // common for wi in w]
     return P, q, d
 
 
@@ -166,6 +176,21 @@ def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertifi
     )
 
 
+@lru_cache(maxsize=None)
+def _lower_bound_data(g: PlumbingGraph):
+    """Per-graph data of the lower-bounded searches: the continuous
+    minimizer Z_K/2, chi(Z_K/2) = (Z_K, Z_K)/8, and the diagonal of
+    -I^-1 = -adj / det, which scales the level-set radii."""
+    data = intersection_data(g)
+    zk = anticanonical_cycle(g)
+    # (Z_K, Z_K) = sum_v (Z_K)_v (e_v + 2) by adjunction
+    chi_center = sum(z * (e + 2) for z, e in zip(zk.coeffs, g.euler)) / 8
+    spread = tuple(
+        Fraction(-data.adjugate[v][v], data.det) for v in range(g.n)
+    )
+    return Cycle(g, [z / 2 for z in zk.coeffs]), chi_center, spread
+
+
 def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertificate:
     """Global minimum of chi over all integer l >= c, with a soundness
     certificate.
@@ -180,19 +205,15 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     g = c.graph
     if not (c.is_integral and c.is_effective):
         raise PreconditionFailed("lower bound must be an effective integral cycle")
-    data = intersection_data(g)
-    zk = anticanonical_cycle(g)
-    half = [x / 2 for x in zk.coeffs]
+    center, chi_center, spread = _lower_bound_data(g)
+    half = center.coeffs
     c_int = c.int_coeffs()
     l0 = [max(ci, exactlin.ceil_frac(h)) for ci, h in zip(c_int, half)]
-    best = chi(Cycle(g, l0))
-    chi_center = chi(Cycle(g, half))
+    best = _chi_scaled(g, 1, l0)
     level = best - chi_center  # >= 0 by convexity
     # |x_v - (Z_K/2)_v| <= sqrt(2 * level * ((-I)^-1)_vv) on the level set
-    radius = [
-        exactlin.ceil_sqrt_frac(2 * level * (-data.inverse[v][v]))
-        for v in range(g.n)
-    ]
+    twice = 2 * level
+    radius = [exactlin.ceil_sqrt_frac(twice * s) for s in spread]
     hi = [
         max(exactlin.floor_frac(h) + r, s)
         for h, r, s in zip(half, radius, l0)
@@ -201,7 +222,7 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
         g, Cycle.zero(g), c_int, tuple(hi), budget
     )
     cert = {
-        "continuous_minimizer": Cycle(g, half),
+        "continuous_minimizer": center,
         "level_bound": level,
         "radius": tuple(radius),
         "feasible_start": Cycle(g, l0),

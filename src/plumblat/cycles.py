@@ -3,12 +3,17 @@
 A :class:`Cycle` is a vertex-indexed vector of exact rationals on a fixed
 graph.  Integral cycles (lattice L) and rational Chern classes (L') share
 the one class; integrality is a queryable property, matching how the
-formulas treat them.
+formulas treat them.  The pairing and the dual base are computed on the
+integer numerators of a cycle over one common denominator, with the
+integer adjugate of the intersection matrix; Fractions are built only
+for the results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 import re
 
 from .errors import (
@@ -21,6 +26,11 @@ from .graph import PlumbingGraph, intersection_data, subgraph
 from . import exactlin
 
 
+# Fractions are immutable, so cycles share one object per small integer
+# coefficient; lattice points are built by the million in box walks.
+_SMALL = {i: Fraction(i) for i in range(-256, 257)}
+
+
 class Cycle:
     """Immutable exact-rational vector indexed by the vertices of a graph."""
 
@@ -29,7 +39,14 @@ class Cycle:
     def __init__(self, graph: PlumbingGraph, coeffs):
         object.__setattr__(self, "graph", graph)
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in coeffs)
+            self,
+            "coeffs",
+            tuple([
+                c if type(c) is Fraction
+                else _SMALL[c] if c in _SMALL
+                else Fraction(c)
+                for c in coeffs
+            ]),
         )
         if len(self.coeffs) != graph.n:
             raise ValueError("coefficient count does not match graph")
@@ -137,32 +154,36 @@ class Cycle:
         return f"Cycle({format_cycle(self)!r})"
 
 
+def common_denominator(values):
+    """``(den, nums)`` for Fractions: their least common denominator and
+    the integer numerators over it, so that values[i] = nums[i] / den."""
+    den = lcm(*(c.denominator for c in values))
+    if den == 1:
+        return 1, [c.numerator for c in values]
+    return den, [c.numerator * (den // c.denominator) for c in values]
+
+
 # -- pairing and dual base -------------------------------------------------
 
 
 def pairing(a: Cycle, b: Cycle) -> Fraction:
     """The intersection pairing a^T I b, exact."""
     a._same_graph(b)
-    m = intersection_data(a.graph).matrix
-    total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            row = m[i]
-            total += ai * sum(
-                row[j] * bj for j, bj in enumerate(b.coeffs) if bj
-            )
-    return total
+    da, x = common_denominator(a.coeffs)
+    db, y = common_denominator(b.coeffs)
+    return Fraction(sum(map(mul, x, a.graph.intersect(y))), da * db)
 
 
 def estar(g: PlumbingGraph, v) -> Cycle:
     """Dual base element: the unique cycle pairing to -1 with E_v, 0 else.
 
-    It is the v-column of -I^{-1}; all its coordinates are strictly
-    positive on a negative-definite connected graph.
+    It is the v-column of -I^{-1} = -adj / det; all its coordinates are
+    strictly positive on a negative-definite connected graph.
     """
     i = g.index(v)
-    inv = intersection_data(g).inverse
-    return Cycle(g, [-inv[j][i] for j in range(g.n)])
+    data = intersection_data(g)
+    det = data.det
+    return Cycle(g, [Fraction(-row[i], det) for row in data.adjugate])
 
 
 def estar_decompose(lp: Cycle):
@@ -172,22 +193,26 @@ def estar_decompose(lp: Cycle):
     E*-support of lp in declaration order.
     """
     g = lp.graph
-    m = intersection_data(g).matrix
-    coeffs = {}
-    for i, name in enumerate(g.names):
-        a = -sum(m[i][j] * c for j, c in enumerate(lp.coeffs) if c)
-        coeffs[name] = a
+    den, x = common_denominator(lp.coeffs)
+    coeffs = {
+        name: Fraction(-p, den) for name, p in zip(g.names, g.intersect(x))
+    }
     supp = tuple(n for n in g.names if coeffs[n] != 0)
     return coeffs, supp
 
 
 def from_estar_coeffs(g: PlumbingGraph, coeffs) -> Cycle:
-    """Inverse of :func:`estar_decompose`: build sum a_v E*_v."""
-    total = Cycle.zero(g)
-    for v, a in coeffs.items():
-        if a:
-            total = total + Fraction(a) * estar(g, v)
-    return total
+    """Inverse of :func:`estar_decompose`: build sum a_v E*_v, which is
+    -adj a / det."""
+    a = [Fraction(0)] * g.n
+    for v, c in coeffs.items():
+        a[g.index(v)] = Fraction(c)
+    den, nums = common_denominator(a)
+    data = intersection_data(g)
+    scale = -data.det * den
+    return Cycle(
+        g, [Fraction(sum(map(mul, row, nums)), scale) for row in data.adjugate]
+    )
 
 
 def in_lipman_cone(lp: Cycle) -> bool:

@@ -1,11 +1,100 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-Everything here works on plain lists of ints / Fractions; no floating
+The lattice data of a graph comes from two fraction-free passes over its
+integer intersection matrix (Bareiss 1968), done in Python integers:
+
+* :func:`det_adjugate` is one Gauss-Jordan pass on ``[M | 1]`` that
+  returns ``det M`` and the integer adjugate ``adj M = det M * M^-1``,
+  and checks ``M adj = det 1`` in integers before returning;
+* :func:`bareiss_pivots` is the forward pass alone; its pivots are the
+  leading principal minors, which decide negative definiteness.
+
+``graph.IntersectionData`` stores ``det`` and the adjugate; its
+``inverse`` is the Fraction view ``adj / det``, built on first use.
+Every cycle in the dual lattice has a denominator dividing ``|det|``.
+
+The Fraction and per-minor routines below (``invert``, ``solve``,
+``mat_mul``, ``mat_vec``, ``identity``, ``leading_minors`` and
+``det_bareiss``) have no caller in the library; they are the
+independent references the tests compare against, and the benchmark's
+tracer (``plumbench/spans.py``) binds some of them by name.  No floating
 point is used anywhere in the package.
 """
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
+
+
+def det_adjugate(m):
+    """``(det, adjugate)`` of a square integer matrix, both exact integers.
+
+    Fraction-free Gauss-Jordan elimination on ``[m | 1]``: after step k
+    every entry is a (k+1)-minor of the augmented matrix, so each
+    division is exact, and at the end the left block is ``d 1`` and the
+    right block is ``d m^-1`` with ``d`` the determinant of the
+    row-exchanged matrix.  Raises ValueError on a singular matrix.
+    """
+    n = len(m)
+    a = [
+        [int(v) for v in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    width = 2 * n
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            pivot = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
+            if pivot is None:
+                raise ValueError("matrix is singular")
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        rk = a[k]
+        p = rk[k]
+        for i in range(n):
+            if i == k:
+                continue
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, width):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+            ri[k] = 0
+        prev = p
+    det = sign * prev
+    adj = [[sign * v for v in row[n:]] for row in a]
+    cols = list(zip(*adj))
+    for i, row in enumerate(m):
+        for j, col in enumerate(cols):
+            if sum(map(mul, row, col)) != (det if i == j else 0):
+                raise AssertionError("adjugate verification failed")
+    return det, adj
+
+
+def bareiss_pivots(m):
+    """Leading principal minors of a square integer matrix, k = 1..n.
+
+    They are the pivots of the forward Bareiss pass without row
+    exchanges.  The pass stops at the first zero minor, which is then
+    the last entry of the returned list.
+    """
+    n = len(m)
+    a = [[int(v) for v in row] for row in m]
+    pivots = []
+    prev = 1
+    for k in range(n):
+        rk = a[k]
+        p = rk[k]
+        pivots.append(p)
+        if p == 0:
+            break
+        for i in range(k + 1, n):
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (p * ri[j] - f * rk[j]) // prev
+        prev = p
+    return pivots
 
 
 def identity(n):
@@ -84,27 +173,6 @@ def leading_minors(m):
     return [
         det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)
     ]
-
-
-def symmetric_pivots(m):
-    """Pivots of the symmetric (LDL-style) elimination of a rational matrix.
-
-    Returns the list of pivots, or None if elimination breaks down on a
-    zero pivot (which cannot happen for a definite matrix).
-    """
-    n = len(m)
-    a = [[Fraction(v) for v in row] for row in m]
-    pivots = []
-    for k in range(n):
-        p = a[k][k]
-        if p == 0:
-            return None
-        pivots.append(p)
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return pivots
 
 
 def floor_frac(x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import re
 
 from .errors import (
@@ -91,6 +91,15 @@ class PlumbingGraph:
             m[j][i] = 1
         return m
 
+    def intersect(self, x):
+        """The pairings (x, E_v) for every vertex v, i.e. the product I x,
+        for a vector x of ints or Fractions; a tree has n - 1 edges, so
+        this costs O(n)."""
+        return [
+            e * xi + sum(x[j] for j in nbrs)
+            for e, xi, nbrs in zip(self.euler, x, self._adj)
+        ]
+
     def _validate(self):
         n = self.n
         if n == 0:
@@ -111,7 +120,7 @@ class PlumbingGraph:
                     stack.append(j)
         if not all(seen):
             raise ValidationError("not a tree: graph is disconnected")
-        minors = exactlin.leading_minors(self.matrix())
+        minors = exactlin.bareiss_pivots(self.matrix())
         for k, d in enumerate(minors, start=1):
             if (-1) ** k * d <= 0:
                 raise ValidationError(
@@ -138,25 +147,33 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionData:
-    """Exact data attached to the intersection form of one graph."""
+    """Exact data attached to the intersection form of one graph.
+
+    The integer adjugate carries I^-1 = adjugate / det; ``inverse`` is
+    its Fraction view, built on first use.
+    """
 
     matrix: tuple  # tuple of tuples of int
-    inverse: tuple  # tuple of tuples of Fraction
+    adjugate: tuple  # tuple of tuples of int, det * I^-1
     det: int
     group_order: int  # |L'/L| = |det|
+
+    @cached_property
+    def inverse(self):
+        """I^-1 as a tuple of tuples of Fraction."""
+        det = self.det
+        return tuple(
+            tuple(Fraction(a, det) for a in row) for row in self.adjugate
+        )
 
 
 @lru_cache(maxsize=None)
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
     m = g.matrix()
-    inv = exactlin.invert(m)
-    det = exactlin.det_bareiss(m)
-    check = exactlin.mat_mul(m, inv)
-    if check != exactlin.identity(g.n):
-        raise AssertionError("inverse verification failed")
+    det, adj = exactlin.det_adjugate(m)
     return IntersectionData(
         matrix=tuple(tuple(row) for row in m),
-        inverse=tuple(tuple(row) for row in inv),
+        adjugate=tuple(tuple(row) for row in adj),
         det=det,
         group_order=abs(det),
     )

@@ -85,10 +85,13 @@ def min_quadratic_box(P, q, lo, hi):
 
 
 def box_values(P, q, lo, hi):
-    """All values of l^T P l + q.l over the box, lexicographic point order."""
-    n = _check_box(lo, hi)
+    """Values of l^T P l + q.l over the box, streamed in lexicographic
+    point order; the box is checked at the call."""
+    return _stream_values(P, q, lo, hi, _check_box(lo, hi))
+
+
+def _stream_values(P, q, lo, hi, n):
     point = list(lo)
-    out = []
     while True:
         v = 0
         for i in range(n):
@@ -97,7 +100,7 @@ def box_values(P, q, lo, hi):
             v += q[i] * li + row[i] * li * li
             for j in range(i + 1, n):
                 v += 2 * row[j] * li * point[j]
-        out.append(v)
+        yield v
         k = n - 1
         while k >= 0:
             if point[k] < hi[k]:
@@ -106,8 +109,7 @@ def box_values(P, q, lo, hi):
             point[k] = lo[k]
             k -= 1
         if k < 0:
-            break
-    return out
+            return
 
 
 def iter_box(lo, hi):

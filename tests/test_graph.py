@@ -81,15 +81,55 @@ def test_roundtrip_serialization():
 
 
 def test_definiteness_checks_agree():
-    """Alternating leading minors and all-negative symmetric pivots are
-    equivalent certificates; compare them on random accepted trees."""
+    """The pivots of the one Bareiss pass are the leading minors, and
+    they alternate in sign on random accepted trees."""
     rng = random.Random(11)
     for _ in range(200):
         g = random_tree(rng, max_n=8, euler_range=(-12, -1))
         minors = exactlin.leading_minors(g.matrix())
         assert all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
-        pivots = exactlin.symmetric_pivots(g.matrix())
-        assert pivots is not None and all(p < 0 for p in pivots)
+        assert exactlin.bareiss_pivots(g.matrix()) == minors
+
+
+@pytest.mark.parametrize(
+    "vertices,edges,message",
+    [
+        # minor 2 is zero
+        ([("a", -1), ("b", -1)], [("a", "b")], "minor 2 is 0"),
+        # chain -1, -2, -1: minors -1, 1, 0
+        (
+            [("a", -1), ("b", -2), ("c", -1)],
+            [("a", "b"), ("b", "c")],
+            "minor 3 is 0",
+        ),
+        # chain -1, -2, 0: minors -1, 1, 1 (wrong sign, nonzero)
+        (
+            [("a", -1), ("b", -2), ("c", 0)],
+            [("a", "b"), ("b", "c")],
+            "minor 3 is 1",
+        ),
+        # star -1 with arms -2, -3, -5: minors -1, 1, -1, -1
+        (
+            [("c", -1), ("p", -2), ("q", -3), ("r", -5)],
+            [("c", "p"), ("c", "q"), ("c", "r")],
+            "minor 4 is -1",
+        ),
+        # the (2,3,6) star is parabolic: minors -1, 1, -1, 0
+        (
+            [("c", -1), ("p", -2), ("q", -3), ("r", -6)],
+            [("c", "p"), ("c", "q"), ("c", "r")],
+            "minor 4 is 0",
+        ),
+        # a positive first minor is reported before anything else
+        ([("a", 1), ("b", -2)], [("a", "b")], "minor 1 is 1"),
+    ],
+)
+def test_not_negative_definite_message(vertices, edges, message):
+    with pytest.raises(ValidationError) as info:
+        PlumbingGraph(vertices, edges)
+    assert str(info.value) == (
+        f"not negative definite: leading principal {message}"
+    )
 
 
 def test_subgraph_components():

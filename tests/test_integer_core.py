@@ -1,0 +1,194 @@
+"""Differential tests of the integer lattice core.
+
+The Bareiss passes, the integer pairing, chi and the shifted quadratic are
+compared with the plain Fraction formulas they replace: Gauss-Jordan
+inversion, determinants of leading submatrices, the matrix pairing, and
+Z_K by solving the adjunction equations.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from plumblat import Cycle, chi, exactlin, intersection_data, pairing
+from plumblat.chimin import (
+    _lower_bound_data,
+    _shifted_quadratic,
+    anticanonical_cycle,
+)
+from plumblat.cycles import estar, estar_decompose, from_estar_coeffs
+
+from conftest import random_rat_cycle, random_tree
+
+
+def _trees(seed, count, max_n=7):
+    rng = random.Random(seed)
+    trees = [random_tree(rng, max_n=max_n) for _ in range(count)]
+    # the sample must exercise nontrivial discriminant groups
+    assert sum(abs(intersection_data(g).det) > 1 for g in trees) > count // 2
+    return trees
+
+
+# -- reference Fraction formulas -------------------------------------------
+
+
+def old_pairing(a, b):
+    m = a.graph.matrix()
+    n = a.graph.n
+    return sum(
+        (a.coeffs[i] * m[i][j] * b.coeffs[j] for i in range(n) for j in range(n)),
+        Fraction(0),
+    )
+
+
+def old_zk(g):
+    return Cycle(g, exactlin.solve(g.matrix(), [e + 2 for e in g.euler]))
+
+
+def old_chi(lp):
+    return -old_pairing(lp, lp - old_zk(lp.graph)) / 2
+
+
+def old_shifted_quadratic(g, x0):
+    m = g.matrix()
+    n = g.n
+    zk = old_zk(g)
+    w = [
+        sum(
+            Fraction(m[i][j]) * (zk.coeffs[j] - 2 * x0.coeffs[j])
+            for j in range(n)
+        )
+        for i in range(n)
+    ]
+    d = lcm(*(f.denominator for f in w))
+    P = [[-m[i][j] * d for j in range(n)] for i in range(n)]
+    q = [int(f * d) for f in w]
+    return P, q, d
+
+
+def dual_cycle(rng, g, span=3):
+    """A random element of L': an integer combination of the E*_v, built
+    from the Fraction inverse."""
+    inv = exactlin.invert(g.matrix())
+    a = [rng.randint(-span, span) for _ in range(g.n)]
+    return Cycle(
+        g, [-sum(inv[i][v] * a[v] for v in range(g.n)) for i in range(g.n)]
+    )
+
+
+def sample_cycles(rng, g):
+    return [
+        dual_cycle(rng, g),
+        dual_cycle(rng, g),
+        Cycle(g, [rng.randint(-3, 3) for _ in range(g.n)]),
+        random_rat_cycle(rng, g),
+        Cycle.zero(g),
+    ]
+
+
+# -- the Bareiss passes ----------------------------------------------------
+
+
+def test_det_adjugate_matches_fraction_inverse_on_trees():
+    for g in _trees(1, 150):
+        m = g.matrix()
+        det, adj = exactlin.det_adjugate(m)
+        assert det == exactlin.det_bareiss(m)
+        inv = exactlin.invert(m)
+        assert [[Fraction(a, det) for a in row] for row in adj] == inv
+        data = intersection_data(g)
+        assert data.det == det and data.group_order == abs(det)
+        assert data.adjugate == tuple(tuple(row) for row in adj)
+        assert data.inverse == tuple(tuple(row) for row in inv)
+
+
+def test_det_adjugate_with_row_exchanges_and_singular():
+    rng = random.Random(2)
+    singular = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        det = exactlin.det_bareiss(m)
+        if det == 0:
+            singular += 1
+            with pytest.raises(ValueError):
+                exactlin.det_adjugate(m)
+            continue
+        got, adj = exactlin.det_adjugate(m)
+        assert got == det
+        inv = exactlin.invert(m)
+        assert [[Fraction(a, det) for a in row] for row in adj] == inv
+    assert singular > 0
+    assert exactlin.det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+
+
+def test_pivots_are_leading_minors():
+    for g in _trees(3, 150, max_n=8):
+        m = g.matrix()
+        assert exactlin.bareiss_pivots(m) == exactlin.leading_minors(m)
+    rng = random.Random(4)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        minors = exactlin.leading_minors(m)
+        stop = next((k for k, d in enumerate(minors) if d == 0), n - 1)
+        assert exactlin.bareiss_pivots(m) == minors[: stop + 1]
+
+
+# -- chi, pairing and the shifted quadratic ----------------------------------
+
+
+def test_anticanonical_cycle_matches_solve():
+    for g in _trees(5, 100):
+        assert anticanonical_cycle(g) == old_zk(g)
+
+
+def test_chi_and_pairing_match_fraction_formulas():
+    rng = random.Random(6)
+    for g in _trees(7, 100):
+        cycles = sample_cycles(rng, g)
+        for a in cycles:
+            assert chi(a) == old_chi(a)
+            for b in cycles:
+                assert pairing(a, b) == old_pairing(a, b)
+
+
+def test_shifted_quadratic_matches_fraction_formula():
+    rng = random.Random(8)
+    for g in _trees(9, 100):
+        for x0 in sample_cycles(rng, g):
+            P, q, d = _shifted_quadratic(g, x0)
+            assert (P, q, d) == old_shifted_quadratic(g, x0)
+            # the defining identity at a random integer step
+            l = [rng.randint(-2, 2) for _ in range(g.n)]
+            val = sum(
+                P[i][j] * l[i] * l[j] for i in range(g.n) for j in range(g.n)
+            ) + sum(qi * li for qi, li in zip(q, l))
+            assert 2 * d * (old_chi(x0 + Cycle(g, l)) - old_chi(x0)) == val
+
+
+def test_lower_bound_data_matches_fraction_formulas():
+    for g in _trees(10, 60):
+        center, chi_center, spread = _lower_bound_data(g)
+        zk = old_zk(g)
+        assert center == Cycle(g, [z / 2 for z in zk.coeffs])
+        assert chi_center == old_chi(center)
+        inv = exactlin.invert(g.matrix())
+        assert spread == tuple(-inv[v][v] for v in range(g.n))
+
+
+def test_dual_base_matches_fraction_inverse():
+    rng = random.Random(11)
+    for g in _trees(12, 60):
+        inv = exactlin.invert(g.matrix())
+        for i, v in enumerate(g.names):
+            assert estar(g, v).coeffs == tuple(-row[i] for row in inv)
+        for lp in sample_cycles(rng, g):
+            coeffs, supp = estar_decompose(lp)
+            m = g.matrix()
+            for i, v in enumerate(g.names):
+                want = -sum(m[i][j] * c for j, c in enumerate(lp.coeffs))
+                assert coeffs[v] == want
+            assert from_estar_coeffs(g, coeffs) == lp

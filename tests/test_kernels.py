@@ -44,7 +44,7 @@ def test_pure_matches_brute_force():
         m, arg, vals = brute(P, q, lo, hi)
         got_m, got_arg = kernels.min_quadratic_box(P, q, lo, hi)
         assert (got_m, got_arg) == (m, arg)
-        assert kernels.box_values(P, q, lo, hi) == vals
+        assert list(kernels.box_values(P, q, lo, hi)) == vals
 
 
 def test_large_magnitudes_stay_exact():
@@ -52,7 +52,7 @@ def test_large_magnitudes_stay_exact():
     big = 10**12
     P = [[1]]
     q = [big]
-    got = box_values(P, q, [0], [3])
+    got = list(box_values(P, q, [0], [3]))
     assert got == [0, 1 + big, 4 + 2 * big, 9 + 3 * big]
     m, arg = kernels.min_quadratic_box(P, [-2 * big], [0], [2 * big])
     assert arg == (big,)

@@ -1,0 +1,70 @@
+"""The benchmark's tracer (``plumbench/spans.py``) wraps library functions
+by name.  Every name it lists must resolve to a callable in plumblat, or
+a traced benchmark run breaks; this test fails first instead."""
+
+import importlib
+import os
+import sys
+
+import pytest
+
+import plumblat
+
+BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "plumbench"
+)
+
+
+@pytest.fixture(scope="module")
+def spans():
+    """plumbench/spans.py, imported without writing bytecode next to it."""
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, BENCH)
+    sys.dont_write_bytecode = True
+    try:
+        module = importlib.import_module("spans")
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+    assert os.path.dirname(os.path.abspath(module.__file__)) == BENCH
+    yield module
+    sys.modules.pop("spans", None)
+
+
+def test_every_target_resolves(spans):
+    for module, qualname in spans.TARGETS:
+        home = importlib.import_module(f"plumblat.{module}")
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            cls = getattr(home, cls_name)
+            # the tracer wraps the method on its own class
+            assert attr in vars(cls), f"{module}.{qualname}"
+            assert callable(vars(cls)[attr])
+        else:
+            assert callable(getattr(home, qualname, None)), f"{module}.{qualname}"
+    names = {spans.span_name(m, q) for m, q in spans.TARGETS}
+    assert set(spans.DISTINCT) <= names
+
+
+def test_install_and_uninstall_restore_bindings(spans):
+    from plumblat import chimin, graph
+
+    before = (
+        chimin.intersection_data,
+        graph.intersection_data,
+        graph.PlumbingGraph.__init__,
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert chimin.intersection_data is not before[0]
+        assert plumblat.is_rational(plumblat.PlumbingGraph([("v", -2)], []))
+    finally:
+        tracer.uninstall()
+    after = (
+        chimin.intersection_data,
+        graph.intersection_data,
+        graph.PlumbingGraph.__init__,
+    )
+    assert all(a is b for a, b in zip(after, before))
+    assert tracer.calls["chimin.is_rational"] == 1
