@@ -256,9 +256,10 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
     """Induced subgraph on ``subset``, split into connected components.
 
     Vertex names are preserved, which is the whole vertex correspondence.
-    Components are ordered by their smallest vertex index; any induced
-    subgraph of a negative-definite tree is again a negative-definite
-    forest, so each component validates.
+    Components are ordered by their smallest vertex index.  They are not
+    re-validated: ``g`` was validated when it was built, a principal
+    submatrix of a negative-definite form is negative definite, and each
+    component of an induced subgraph of a tree is a tree.
     """
     idxs = sorted({g.index(v) for v in subset})
     if not idxs:
@@ -287,5 +288,5 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
             for i, j in g.edges
             if i in comp_set and j in comp_set
         ]
-        components.append(PlumbingGraph(verts, edges))
+        components.append(PlumbingGraph(verts, edges, validate=False))
     return components

@@ -2,8 +2,10 @@
 
 The objective is f(l) = l^T P l + q . l with P symmetric positive
 definite over the integer box [lo, hi]; the reported argmin is the
-lexicographically smallest minimizer.  Every box walk (``box_values``,
-``iter_box``) visits points in the same lexicographic order.
+lexicographically smallest minimizer.  ``iter_box`` is the one walk over
+a box: ``min_quadratic_box`` runs it over the outer coordinates and
+``box_values`` over all of them, so every caller sees the points in the
+same lexicographic order.
 """
 
 
@@ -48,72 +50,50 @@ def min_quadratic_box(P, q, lo, hi):
     n = _check_box(lo, hi)
     last = n - 1
     A = P[last][last]
-    point = list(lo)
     best_val = None
     best_point = None
-    while True:
+    for outer in iter_box(lo[:last], hi[:last]):
         # partial value over coordinates 0..n-2 and linear term for the last
         c = 0
         b = q[last]
         for i in range(last):
-            li = point[i]
+            li = outer[i]
             row = P[i]
             c += q[i] * li
             c += row[i] * li * li
             for j in range(i + 1, last):
-                c += 2 * row[j] * li * point[j]
+                c += 2 * row[j] * li * outer[j]
             b += 2 * P[last][i] * li
         t, inner = _best_last(A, b, lo[last], hi[last])
         val = c + inner
         if best_val is None or val < best_val:
             best_val = val
-            point[last] = t
-            best_point = tuple(point)
-        # odometer over the outer coordinates, last-but-one fastest
-        if last == 0:
-            break
-        k = last - 1
-        while k >= 0:
-            if point[k] < hi[k]:
-                point[k] += 1
-                break
-            point[k] = lo[k]
-            k -= 1
-        if k < 0:
-            break
+            best_point = outer + (t,)
     return best_val, best_point
 
 
 def box_values(P, q, lo, hi):
-    """Values of l^T P l + q.l over the box, streamed in lexicographic
-    point order; the box is checked at the call."""
-    return _stream_values(P, q, lo, hi, _check_box(lo, hi))
+    """(point, value) pairs of l^T P l + q.l over the box, streamed in
+    ``iter_box`` order; the box is checked at the call."""
+    n = _check_box(lo, hi)
 
+    def pairs():
+        for point in iter_box(lo, hi):
+            v = 0
+            for i in range(n):
+                li = point[i]
+                row = P[i]
+                v += q[i] * li + row[i] * li * li
+                for j in range(i + 1, n):
+                    v += 2 * row[j] * li * point[j]
+            yield point, v
 
-def _stream_values(P, q, lo, hi, n):
-    point = list(lo)
-    while True:
-        v = 0
-        for i in range(n):
-            li = point[i]
-            row = P[i]
-            v += q[i] * li + row[i] * li * li
-            for j in range(i + 1, n):
-                v += 2 * row[j] * li * point[j]
-        yield v
-        k = n - 1
-        while k >= 0:
-            if point[k] < hi[k]:
-                point[k] += 1
-                break
-            point[k] = lo[k]
-            k -= 1
-        if k < 0:
-            return
+    return pairs()
 
 
 def iter_box(lo, hi):
-    """Integer points of the box in the same lexicographic order."""
+    """Integer points of the box in lexicographic order, last coordinate
+    fastest; a box of dimension 0 yields ``()`` once."""
     n = len(lo)
     point = list(lo)
     while True:

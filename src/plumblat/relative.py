@@ -23,14 +23,12 @@ from .errors import (
 )
 from .cycles import (
     Cycle,
-    in_minus_lipman_cone,
     meet,
-    pairing,
     parse_cycle,
     restrict_R,
 )
 from .chimin import DEFAULT_BUDGET, _shifted_quadratic
-from .genus import _component_cycle, interval_floor_line_bundle
+from .genus import _component_cycle, fiber_dim, interval_floor_line_bundle
 from . import kernels
 
 
@@ -104,12 +102,8 @@ class GenericNaturalOracle(H1Oracle):
         super().__init__(z, z1)
         lp._same_graph(z)
         self.lp = lp
-        self._cache = {}
 
     def value(self, l):
-        key = tuple(l.coeffs)
-        if key in self._cache:
-            return self._cache[key]
         fixed = meet(self.z - l, self.z1)
         total = 0
         if not fixed.is_zero:
@@ -122,7 +116,6 @@ class GenericNaturalOracle(H1Oracle):
                         "the Chern class is not in the dual lattice"
                     )
                 total += int(f)
-        self._cache[key] = total
         return total
 
 
@@ -202,9 +195,8 @@ def _evaluate(z, z1, lp, oracle, budget):
         raise BoxTooLarge(size, budget)
     P, q, d = _shifted_quadratic(g, -lp)
     scale = 2 * d
-    values = kernels.box_values(P, q, lo, hi)
     base = best = best_point = witness = None
-    for point, v in zip(kernels.iter_box(lo, hi), values):
+    for point, v in kernels.box_values(P, q, lo, hi):
         v -= scale * oracle.value(Cycle(g, point))
         if base is None:  # l = 0 is the first lexicographic point
             base = best = v
@@ -242,15 +234,8 @@ def relgen_h1(z, z1, lp, oracle, budget=None) -> RelReport:
 def relspace_dim(z: Cycle, lp: Cycle, h1_z1_bundle: int, h1_o_z1: int) -> int:
     """Dimension of the relative divisor space:
     h1(Z1, L) - h1(O_Z1) + (l', Z), the two h1 values supplied by the
-    caller."""
-    if h1_z1_bundle < 0 or h1_o_z1 < 0:
-        raise PreconditionFailed("h1 inputs must be nonnegative")
-    if not in_minus_lipman_cone(lp):
-        raise PreconditionFailed("Chern class is not in the negative Lipman cone")
-    val = pairing(lp, z)
-    if val.denominator != 1:
-        raise PreconditionFailed("pairing (l', Z) is not an integer")
-    return h1_z1_bundle - h1_o_z1 + int(val)
+    caller: :func:`genus.fiber_dim` with the h1 values of Z1."""
+    return fiber_dim(z, lp, h1_z1_bundle, h1_o_z1)
 
 
 def relgen1_nonempty(z, z1, lp, oracle, budget=None):

@@ -15,7 +15,7 @@ from plumblat import (
 )
 from plumblat import exactlin
 
-from conftest import graph_e8, random_tree
+from conftest import corpus, graph_e8, random_tree
 
 
 def test_parse_single_vertex():
@@ -152,12 +152,13 @@ def test_subgraph_errors():
 
 
 def test_induced_subgraphs_validate():
+    """``subgraph`` skips validation of its components; run the full
+    check on each one, for every subset of a sample of corpus trees."""
     rng = random.Random(3)
-    for _ in range(50):
-        g = random_tree(rng, max_n=6)
-        subset = [v for v in g.names if rng.random() < 0.6]
-        if not subset:
-            continue
-        for comp in subgraph(g, subset):
-            # constructor re-validates; reaching here is the assertion
-            assert comp.n >= 1
+    for g in rng.sample(corpus(), 300):
+        for mask in range(1, 2**g.n):
+            subset = [v for i, v in enumerate(g.names) if mask >> i & 1]
+            comps = subgraph(g, subset)
+            for comp in comps:
+                comp._validate()
+            assert sorted(v for c in comps for v in c.names) == sorted(subset)

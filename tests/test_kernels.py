@@ -44,7 +44,9 @@ def test_pure_matches_brute_force():
         m, arg, vals = brute(P, q, lo, hi)
         got_m, got_arg = kernels.min_quadratic_box(P, q, lo, hi)
         assert (got_m, got_arg) == (m, arg)
-        assert list(kernels.box_values(P, q, lo, hi)) == vals
+        pairs = list(kernels.box_values(P, q, lo, hi))
+        assert [p for p, _ in pairs] == list(iter_box(lo, hi))
+        assert [v for _, v in pairs] == vals
 
 
 def test_large_magnitudes_stay_exact():
@@ -53,10 +55,20 @@ def test_large_magnitudes_stay_exact():
     P = [[1]]
     q = [big]
     got = list(box_values(P, q, [0], [3]))
-    assert got == [0, 1 + big, 4 + 2 * big, 9 + 3 * big]
+    assert got == [
+        ((0,), 0), ((1,), 1 + big), ((2,), 4 + 2 * big), ((3,), 9 + 3 * big)
+    ]
     m, arg = kernels.min_quadratic_box(P, [-2 * big], [0], [2 * big])
     assert arg == (big,)
     assert m == -big * big
+    # two coordinates: the outer one is walked, the last solved in closed form
+    P2 = [[2, 1], [1, 2]]
+    q2 = [-6 * big, -6 * big]
+    lo, hi = [big - 1, big - 2], [big + 1, big + 2]
+    m, arg, vals = brute(P2, q2, lo, hi)
+    assert (m, arg) == (-6 * big * big, (big, big))
+    assert kernels.min_quadratic_box(P2, q2, lo, hi) == (m, arg)
+    assert list(box_values(P2, q2, lo, hi)) == list(zip(iter_box(lo, hi), vals))
 
 
 def test_backend_name():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,12 +10,14 @@ from plumblat import (
     GenericNaturalOracle,
     HypothesisFailed,
     OracleIncomplete,
+    PlumbingGraph,
     PreconditionFailed,
     TableOracle,
     ValidationError,
     ZeroOracle,
     chi,
     estar,
+    fundamental_cycle,
     interval_floor_line_bundle,
     parse_oracle_file,
     reldom_check,
@@ -192,6 +196,29 @@ def test_generic_natural_oracle_zero_fixed_part():
     # rational graph: generic natural floors vanish everywhere
     for pt in itertools.product(range(2), range(2)):
         assert oracle.value(Cycle(a2, pt)) == 0
+
+
+def test_generic_oracle_keeps_nothing_per_box_point():
+    """A relgen_h1 pass with the generic oracle holds no memory that
+    grows with the box once it returns (a per-point memo holds about
+    120 bytes per point)."""
+    g = PlumbingGraph([("a", -2), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c")])
+    zmin = fundamental_cycle(g)
+    z = 6 * zmin  # 343 box points
+    lp = -estar(g, "a")
+    relgen_h1(z, zmin, lp, GenericNaturalOracle(z, zmin, lp))  # warm the caches
+    oracle = GenericNaturalOracle(z, zmin, lp)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = relgen_h1(z, zmin, lp, oracle)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.nodes == 343
+    assert held < 30 * report.nodes
 
 
 def test_relspace_dim():

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import plumblat
+from plumblat.chimin import DEFAULT_BUDGET
 
 BENCH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "plumbench"
@@ -68,3 +69,28 @@ def test_install_and_uninstall_restore_bindings(spans):
     )
     assert all(a is b for a, b in zip(after, before))
     assert tracer.calls["chimin.is_rational"] == 1
+
+
+def test_traced_generic_oracle_run_counts(spans):
+    """One traced relgen_h1 with the generic oracle and one interval
+    floor: the counts the benchmark reports come from the arguments these
+    functions receive, so a change to them shows here."""
+    g = plumblat.PlumbingGraph([("a", -2), ("b", -3)], [("a", "b")])
+    zmin = plumblat.fundamental_cycle(g)
+    z = 2 * zmin  # a=2 b=2: a 3 x 3 box
+    lp = -plumblat.estar(g, "a")
+    size = 3 * 3
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        oracle = plumblat.GenericNaturalOracle(z, zmin, lp)
+        report = plumblat.relgen_h1(z, zmin, lp, oracle)
+        plumblat.interval_floor_line_bundle(z, lp)
+    finally:
+        tracer.uninstall()
+    assert report.nodes == size
+    metrics = tracer.metrics(DEFAULT_BUDGET)
+    assert metrics["kernels.box_values.points"] == size
+    assert metrics["relative.GenericNaturalOracle.value.calls"] == size
+    assert metrics["kernels.box_points"] > 0
+    assert metrics["genus.interval_floor_line_bundle.calls"] > 1
