@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionFailed
-from .graph import PlumbingGraph, subgraph
+from .graph import PlumbingGraph, components, subgraph
 from .cycles import (
     Cycle,
     estar_decompose,
@@ -65,7 +65,7 @@ def interval_floor_line_bundle(
     floor = chi(-lp) - cert.min_value
     comps = ()
     supp = z.support()
-    if supp and len(subgraph(z.graph, supp)) > 1:
+    if supp and len(components(z.graph, map(z.graph.index, supp))) > 1:
         entries = []
         for comp, lp_c in restrict_R(lp, supp):
             z_c = _component_cycle(comp, z)

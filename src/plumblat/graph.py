@@ -252,22 +252,14 @@ def serialize_graph(g: PlumbingGraph) -> str:
 # -- induced subgraphs ----------------------------------------------------
 
 
-def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
-    """Induced subgraph on ``subset``, split into connected components.
-
-    Vertex names are preserved, which is the whole vertex correspondence.
-    Components are ordered by their smallest vertex index.  They are not
-    re-validated: ``g`` was validated when it was built, a principal
-    submatrix of a negative-definite form is negative definite, and each
-    component of an induced subgraph of a tree is a tree.
-    """
-    idxs = sorted({g.index(v) for v in subset})
-    if not idxs:
-        raise EmptySubset("vertex subset is empty")
+def components(g: PlumbingGraph, idxs) -> list[tuple[int, ...]]:
+    """Connected components of the subgraph induced on the vertex indices
+    ``idxs``, as sorted index tuples ordered by their smallest index; no
+    graph is built."""
     chosen = set(idxs)
     seen = set()
-    components = []
-    for start in idxs:
+    out = []
+    for start in sorted(chosen):
         if start in seen:
             continue
         comp = []
@@ -280,7 +272,24 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
                 if j in chosen and j not in seen:
                     seen.add(j)
                     stack.append(j)
-        comp.sort()
+        out.append(tuple(sorted(comp)))
+    return out
+
+
+def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
+    """Induced subgraph on ``subset``, split into connected components.
+
+    Vertex names are preserved, which is the whole vertex correspondence.
+    Components are ordered by their smallest vertex index.  They are not
+    re-validated: ``g`` was validated when it was built, a principal
+    submatrix of a negative-definite form is negative definite, and each
+    component of an induced subgraph of a tree is a tree.
+    """
+    idxs = {g.index(v) for v in subset}
+    if not idxs:
+        raise EmptySubset("vertex subset is empty")
+    out = []
+    for comp in components(g, idxs):
         comp_set = set(comp)
         verts = [(g.names[i], g.euler[i]) for i in comp]
         edges = [
@@ -288,5 +297,5 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
             for i, j in g.edges
             if i in comp_set and j in comp_set
         ]
-        components.append(PlumbingGraph(verts, edges, validate=False))
-    return components
+        out.append(PlumbingGraph(verts, edges, validate=False))
+    return out

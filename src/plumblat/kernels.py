@@ -3,10 +3,12 @@
 The objective is f(l) = l^T P l + q . l with P symmetric positive
 definite over the integer box [lo, hi]; the reported argmin is the
 lexicographically smallest minimizer.  ``iter_box`` is the one walk over
-a box: ``min_quadratic_box`` runs it over the outer coordinates and
-``box_values`` over all of them, so every caller sees the points in the
-same lexicographic order.
+a box: ``min_quadratic_box`` and ``box_values`` both run it over the
+outer coordinates and treat the last one in closed form, so every caller
+sees the points in the same lexicographic order.
 """
+
+from math import isqrt
 
 
 def backend_name():
@@ -72,21 +74,55 @@ def min_quadratic_box(P, q, lo, hi):
     return best_val, best_point
 
 
-def box_values(P, q, lo, hi):
+def _sublevel(a, b, c):
+    """Integer interval [t0, t1] where a*t^2 + b*t + c <= 0 (a > 0);
+    t0 > t1 when there is none.
+
+    The real roots are (-b -+ sqrt(disc)) / 2a.  For an integer k > 0,
+    floor(x / k) = floor(floor(x) / k), and floor(sqrt(disc)) is
+    isqrt(disc), so both integer ends come out exact.
+    """
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return 1, 0
+    s = isqrt(disc)
+    return -((b + s) // (2 * a)), (s - b) // (2 * a)
+
+
+def box_values(P, q, lo, hi, bound=None):
     """(point, value) pairs of l^T P l + q.l over the box, streamed in
-    ``iter_box`` order; the box is checked at the call."""
+    ``iter_box`` order; the box is checked at the call.
+
+    The outer coordinates are walked with ``iter_box``; per outer point
+    the partial value c and the linear term b of the last coordinate are
+    computed once, and the last coordinate t runs upward with value
+    c + A*t^2 + b*t.  With ``bound``, only the pairs whose value is at
+    most ``bound`` are yielded: t runs over the exact integer interval
+    where A*t^2 + b*t + c <= bound, cut to the box.
+    """
     n = _check_box(lo, hi)
+    last = n - 1
+    A = P[last][last]
+    lo_t, hi_t = lo[last], hi[last]
 
     def pairs():
-        for point in iter_box(lo, hi):
-            v = 0
-            for i in range(n):
-                li = point[i]
+        for outer in iter_box(lo[:last], hi[:last]):
+            c = 0
+            b = q[last]
+            for i in range(last):
+                li = outer[i]
                 row = P[i]
-                v += q[i] * li + row[i] * li * li
-                for j in range(i + 1, n):
-                    v += 2 * row[j] * li * point[j]
-            yield point, v
+                c += q[i] * li
+                c += row[i] * li * li
+                for j in range(i + 1, last):
+                    c += 2 * row[j] * li * outer[j]
+                b += 2 * P[last][i] * li
+            t0, t1 = lo_t, hi_t
+            if bound is not None:
+                s0, s1 = _sublevel(A, b, c - bound)
+                t0, t1 = max(t0, s0), min(t1, s1)
+            for t in range(t0, t1 + 1):
+                yield outer + (t,), c + (A * t + b) * t
 
     return pairs()
 

@@ -6,10 +6,19 @@ nonnegative integers, table(l) standing for h1((Z-l)_1, L(-l)) with
 (Z-l)_1 = min(Z-l, Z1).  Three sources are shipped: the zero table, a
 file table, and the generic-natural table computed from the interval
 floors.
+
+An oracle with a known maximum M over the box (``bound``: 0 for the zero
+table, the table maximum for a file table) lets the evaluation visit only
+the points l with q(l) <= 2D (M - oracle(0)), where q(l) is
+2D (chi(-l'+l) - chi(-l')): no other point can be a witness or a
+minimizer.  The generic-natural table has no bound; it is evaluated at
+every box point, sharing the component floors within one walk.  Reports
+give the certified box size as ``nodes`` in both cases.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,12 +32,14 @@ from .errors import (
 )
 from .cycles import (
     Cycle,
+    common_denominator,
+    from_estar_coeffs,
     meet,
     parse_cycle,
-    restrict_R,
 )
 from .chimin import DEFAULT_BUDGET, _shifted_quadratic
-from .genus import _component_cycle, fiber_dim, interval_floor_line_bundle
+from .genus import fiber_dim, interval_floor_line_bundle
+from .graph import subgraph
 from . import kernels
 
 
@@ -37,9 +48,12 @@ class H1Oracle:
 
     ``value`` takes an integral cycle l with 0 <= l <= z and returns
     h1((z-l)_1, L(-l)); it must vanish whenever min(z-l, z1) = 0.
+    ``bound`` is None or an integer no smaller than ``value`` at any box
+    point.
     """
 
     source = "abstract"
+    bound = None
 
     def __init__(self, z: Cycle, z1: Cycle):
         z._same_graph(z1)
@@ -53,11 +67,18 @@ class H1Oracle:
     def value(self, l: Cycle) -> int:
         raise NotImplementedError
 
+    def walk(self, budget):
+        """Context of one box walk, with the request's node budget; an
+        oracle may keep scratch state in it, dropped when the walk ends.
+        An oracle serves one walk at a time."""
+        return nullcontext()
+
 
 class ZeroOracle(H1Oracle):
     """Identically zero table (rational-like fixed part)."""
 
     source = "zero"
+    bound = 0
 
     def value(self, l):
         return 0
@@ -73,6 +94,7 @@ class TableOracle(H1Oracle):
         self.table = {tuple(int(c) for c in k): int(v) for k, v in table.items()}
         lo = (0,) * z.graph.n
         hi = z.int_coeffs()
+        self.bound = 0
         for point in kernels.iter_box(lo, hi):
             if point not in self.table:
                 raise OracleIncomplete(
@@ -81,6 +103,7 @@ class TableOracle(H1Oracle):
             v = self.table[point]
             if v < 0:
                 raise ValidationError(f"negative oracle value at {point}")
+            self.bound = max(self.bound, v)
             l = Cycle(z.graph, point)
             if meet(z - l, z1).is_zero and v != 0:
                 raise ValidationError(
@@ -94,7 +117,12 @@ class TableOracle(H1Oracle):
 class GenericNaturalOracle(H1Oracle):
     """Table filled with the generic natural-line-bundle floors:
     table(l) = sum over components of min(z-l, z1) of the interval floor
-    with Chern class R(l' - l)."""
+    with Chern class R(l' - l).
+
+    Within one walk the floors are shared: equal (component, z_c, l'_c)
+    keys recur across the box, and nested searches run under the walk's
+    budget.  Outside a walk each call computes its value afresh.
+    """
 
     source = "generic"
 
@@ -102,21 +130,76 @@ class GenericNaturalOracle(H1Oracle):
         super().__init__(z, z1)
         lp._same_graph(z)
         self.lp = lp
+        self._walk = None
+
+    @contextmanager
+    def walk(self, budget):
+        self._walk = _GenericWalk(self, budget)
+        try:
+            yield
+        finally:
+            self._walk = None
 
     def value(self, l):
-        fixed = meet(self.z - l, self.z1)
+        walk = self._walk or _GenericWalk(self, None)
+        return walk.value(l.int_coeffs())
+
+
+class _GenericWalk:
+    """Scratch state of one generic-oracle walk.
+
+    l' - l is carried in E*-coordinates as integer numerators over the
+    denominator of l': a(l' - l) = a(l') + I l, with a(x) = -I x.  The
+    component split is kept per support of min(z - l, z1) and the
+    component floors per key (component indices, z_c, restricted a).
+    """
+
+    def __init__(self, oracle, budget):
+        g = oracle.z.graph
+        self.graph = g
+        self.budget = budget
+        self.z = oracle.z.int_coeffs()
+        self.z1 = oracle.z1.int_coeffs()
+        self.den, x = common_denominator(oracle.lp.coeffs)
+        self.a = [-y for y in g.intersect(x)]
+        self.splits = {}
+        self.floors = {}
+
+    def value(self, point):
+        fixed = [min(a - b, c) for a, b, c in zip(self.z, point, self.z1)]
+        supp = tuple(i for i, f in enumerate(fixed) if f)
+        if not supp:
+            return 0
+        split = self.splits.get(supp)
+        if split is None:
+            g = self.graph
+            split = self.splits[supp] = [
+                (comp, tuple(map(g.index, comp.names)))
+                for comp in subgraph(g, [g.names[i] for i in supp])
+            ]
+        den = self.den
+        a = [x + den * y for x, y in zip(self.a, self.graph.intersect(point))]
         total = 0
-        if not fixed.is_zero:
-            for comp, lp_c in restrict_R(self.lp - l, fixed.support()):
-                z_c = _component_cycle(comp, fixed)
-                f = interval_floor_line_bundle(z_c, lp_c).floor
-                if f.denominator != 1:
-                    raise ValidationError(
-                        "generic-natural oracle produced a non-integer value; "
-                        "the Chern class is not in the dual lattice"
-                    )
-                total += int(f)
+        for comp, idxs in split:
+            key = (idxs, tuple(fixed[i] for i in idxs), tuple(a[i] for i in idxs))
+            f = self.floors.get(key)
+            if f is None:
+                f = self.floors[key] = self._floor(comp, key[1], key[2])
+            total += f
         return total
+
+    def _floor(self, comp, z_c, a_c):
+        den = self.den
+        lp_c = from_estar_coeffs(
+            comp, {v: Fraction(x, den) for v, x in zip(comp.names, a_c) if x}
+        )
+        f = interval_floor_line_bundle(Cycle(comp, z_c), lp_c, self.budget).floor
+        if f.denominator != 1:
+            raise ValidationError(
+                "generic-natural oracle produced a non-integer value; "
+                "the Chern class is not in the dual lattice"
+            )
+        return int(f)
 
 
 # -- oracle file format ----------------------------------------------------
@@ -179,10 +262,13 @@ class RelReport:
 def _evaluate(z, z1, lp, oracle, budget):
     """One lexicographic pass over [0, z] of chi(-l'+l) - oracle(l).
 
-    Values are scaled by 2D: the objective at l is chi(-l') + v / (2D).
-    The pass keeps the value at l = 0, the first later point whose value
-    does not exceed it (the witness), and the running strict minimum,
-    whose point is then the lexicographically smallest argmin.
+    Values are scaled by 2D: the objective at l is chi(-l') + F(l) / (2D)
+    with F(l) = q(l) - 2D oracle(l).  The pass keeps F(0), the first later
+    point whose value does not exceed it (the witness), and the running
+    strict minimum, whose point is then the lexicographically smallest
+    argmin.  Witnesses and minimizers satisfy F(l) <= F(0), so when the
+    oracle is bounded by M only the points with q(l) <= 2D (M - oracle(0))
+    are visited; l = 0 is among them and comes first.
     """
     if oracle.z != z or oracle.z1 != z1:
         raise PreconditionFailed("oracle is not bound to this (Z, Z1) pair")
@@ -195,18 +281,24 @@ def _evaluate(z, z1, lp, oracle, budget):
         raise BoxTooLarge(size, budget)
     P, q, d = _shifted_quadratic(g, -lp)
     scale = 2 * d
+    limit = None
+    if oracle.bound is not None:
+        limit = scale * (oracle.bound - oracle.value(Cycle.zero(g)))
+        if limit < 0:
+            raise ValidationError("oracle value at 0 exceeds the oracle bound")
     base = best = best_point = witness = None
-    for point, v in kernels.box_values(P, q, lo, hi):
-        v -= scale * oracle.value(Cycle(g, point))
-        if base is None:  # l = 0 is the first lexicographic point
-            base = best = v
-            best_point = point
-            continue
-        if witness is None and v <= base:
-            witness = point
-        if v < best:
-            best = v
-            best_point = point
+    with oracle.walk(budget):
+        for point, v in kernels.box_values(P, q, lo, hi, limit):
+            v -= scale * oracle.value(Cycle(g, point))
+            if base is None:  # l = 0 is the first lexicographic point
+                base = best = v
+                best_point = point
+                continue
+            if witness is None and v <= base:
+                witness = point
+            if v < best:
+                best = v
+                best_point = point
     return RelReport(
         dominant=witness is None,
         witness=None if witness is None else Cycle(g, witness),

@@ -14,6 +14,7 @@ from plumblat import (
     subgraph,
 )
 from plumblat import exactlin
+from plumblat.graph import components
 
 from conftest import corpus, graph_e8, random_tree
 
@@ -153,7 +154,9 @@ def test_subgraph_errors():
 
 def test_induced_subgraphs_validate():
     """``subgraph`` skips validation of its components; run the full
-    check on each one, for every subset of a sample of corpus trees."""
+    check on each one, for every subset of a sample of corpus trees.
+    The full check makes each component connected; no edge of g may join
+    two of them, and their index tuples are what ``components`` gives."""
     rng = random.Random(3)
     for g in rng.sample(corpus(), 300):
         for mask in range(1, 2**g.n):
@@ -162,3 +165,10 @@ def test_induced_subgraphs_validate():
             for comp in comps:
                 comp._validate()
             assert sorted(v for c in comps for v in c.names) == sorted(subset)
+            idxs = [tuple(map(g.index, c.names)) for c in comps]
+            where = {i: k for k, comp in enumerate(idxs) for i in comp}
+            for i, j in g.edges:
+                if i in where and j in where:
+                    assert where[i] == where[j]
+            assert idxs == sorted(idxs) and all(c == tuple(sorted(c)) for c in idxs)
+            assert components(g, [g.index(v) for v in subset]) == idxs

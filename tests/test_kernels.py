@@ -71,6 +71,34 @@ def test_large_magnitudes_stay_exact():
     assert list(box_values(P2, q2, lo, hi)) == list(zip(iter_box(lo, hi), vals))
 
 
+def test_bounded_box_values_match_filtered_walk():
+    """With a bound, box_values yields exactly the pairs of the full walk
+    whose value is at most the bound, in the same order: bounds at, one
+    below and one above attained values (integer roots of the last
+    coordinate's quadratic), below the minimum, and with magnitudes near
+    10^12."""
+    rng = random.Random(17)
+    big = 10**12
+    for trial in range(200):
+        n = rng.randint(1, 4)
+        P, q, lo, hi = random_instance(rng, n)
+        if trial % 4 == 3:
+            # center the quadratic near big, so values are near -10^24
+            center = [big + rng.randint(-2, 2) for _ in range(n)]
+            q = [-2 * sum(P[i][j] * center[j] for j in range(n)) for i in range(n)]
+            lo = [c + a for c, a in zip(center, lo)]
+            hi = [c + b for c, b in zip(center, hi)]
+        full = list(box_values(P, q, lo, hi))
+        values = sorted({v for _, v in full})
+        bounds = {values[0] - 1}
+        for v in rng.sample(values, min(4, len(values))) + [values[0], values[-1]]:
+            bounds |= {v - 1, v, v + 1}
+        for bound in bounds:
+            got = list(box_values(P, q, lo, hi, bound))
+            assert got == [(p, v) for p, v in full if v <= bound]
+        assert list(box_values(P, q, lo, hi, values[0] - 1)) == []
+
+
 def test_backend_name():
     assert kernels.backend_name() == "python"
 

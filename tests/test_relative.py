@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -19,14 +20,24 @@ from plumblat import (
     estar,
     fundamental_cycle,
     interval_floor_line_bundle,
+    meet,
     parse_oracle_file,
     reldom_check,
     relgen1_nonempty,
     relgen_h1,
     relspace_dim,
+    restrict_R,
 )
+from plumblat import relative
 
-from conftest import graph_a1, graph_a2, random_rat_cycle, random_tree
+from conftest import (
+    corpus,
+    graph_a1,
+    graph_a2,
+    graph_t237,
+    random_rat_cycle,
+    random_tree,
+)
 
 
 def box_table(z, fn):
@@ -196,6 +207,152 @@ def test_generic_natural_oracle_zero_fixed_part():
     # rational graph: generic natural floors vanish everywhere
     for pt in itertools.product(range(2), range(2)):
         assert oracle.value(Cycle(a2, pt)) == 0
+
+
+def direct_generic_value(oracle, l):
+    """The generic-oracle table entry from its definition: the interval
+    floors of R(l' - l) on the components of min(z - l, z1), summed."""
+    fixed = meet(oracle.z - l, oracle.z1)
+    if fixed.is_zero:
+        return 0
+    total = 0
+    for comp, lp_c in restrict_R(oracle.lp - l, fixed.support()):
+        z_c = Cycle.from_dict(comp, {v: fixed[v] for v in comp.names})
+        total += interval_floor_line_bundle(z_c, lp_c).floor
+    return total
+
+
+class RecordingGenericOracle(GenericNaturalOracle):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = []
+
+    def value(self, l):
+        v = super().value(l)
+        self.seen.append((l, v))
+        return v
+
+
+def test_generic_oracle_matches_direct_formula():
+    """Inside a relgen_h1 walk, where floors are shared between points,
+    and outside one, every value equals the formula; the walk asks for
+    each box point once."""
+    rng = random.Random(107)
+    cases = 0
+    for g in rng.sample(corpus(), 60):
+        zmin = fundamental_cycle(g)
+        z = rng.randint(1, 2) * zmin
+        if len(list(itertools.product(*[range(int(c) + 1) for c in z.coeffs]))) > 200:
+            continue
+        z1 = Cycle(g, [rng.randint(0, int(c)) for c in z.coeffs])
+        lp = rng.choice((1, -1)) * estar(g, rng.choice(g.names)) + Cycle(
+            g, [rng.randint(-1, 1) for _ in range(g.n)]
+        )
+        oracle = RecordingGenericOracle(z, z1, lp)
+        report = relgen_h1(z, z1, lp, oracle)
+        points = [l.int_coeffs() for l, _ in oracle.seen]
+        assert points == list(
+            itertools.product(*[range(int(c) + 1) for c in z.coeffs])
+        )
+        assert len(points) == report.nodes
+        for l, v in oracle.seen:
+            assert v == direct_generic_value(oracle, l)
+        for l, v in rng.sample(oracle.seen, 5):
+            assert oracle.value(l) == v
+        cases += 1
+    assert cases >= 10
+
+
+def test_generic_oracle_rejects_non_integer_chern_class():
+    a2 = graph_a2()
+    z = Cycle.ones(a2)
+    lp = Cycle(a2, [0, Fraction(1, 3)])  # not in the dual lattice
+    with pytest.raises(ValidationError, match="non-integer"):
+        relgen_h1(z, z, lp, GenericNaturalOracle(z, z, lp))
+
+
+def test_nested_oracle_searches_get_the_request_budget(monkeypatch):
+    budgets = []
+
+    def spy(z, lp, budget=None):
+        budgets.append(budget)
+        return interval_floor_line_bundle(z, lp, budget)
+
+    monkeypatch.setattr(relative, "interval_floor_line_bundle", spy)
+    g = PlumbingGraph([("a", -2), ("b", -3)], [("a", "b")])
+    zmin = fundamental_cycle(g)
+    z = 2 * zmin
+    lp = -estar(g, "a")
+    relgen_h1(z, zmin, lp, GenericNaturalOracle(z, zmin, lp), budget=12345)
+    assert budgets and set(budgets) == {12345}
+    budgets.clear()
+    relgen_h1(z, zmin, lp, GenericNaturalOracle(z, zmin, lp))
+    assert budgets and set(budgets) == {relative.DEFAULT_BUDGET}
+
+
+def test_all_zero_table_reports_like_zero_oracle():
+    rng = random.Random(109)
+    for _ in range(30):
+        g = random_tree(rng, max_n=3, euler_range=(-4, -1))
+        z = Cycle(g, [rng.randint(0, 3) for _ in range(g.n)])
+        z1 = Cycle(g, [rng.randint(0, int(c)) for c in z.coeffs])
+        lp = random_rat_cycle(rng, g)
+        table = TableOracle(z, z1, box_table(z, lambda pt: 0))
+        assert table.bound == 0
+        for fn in (reldom_check, relgen_h1):
+            a = fn(z, z1, lp, table)
+            b = fn(z, z1, lp, ZeroOracle(z, z1))
+            assert (a.dominant, a.witness, a.rel_h1, a.argmin, a.nodes) == (
+                b.dominant, b.witness, b.rel_h1, b.argmin, b.nodes
+            )
+
+
+def test_zero_oracle_matches_brute_force():
+    """The (2,3,7) graph with Z = 2 Z_min: l' = -E*_v is dominant and
+    l' = E*_v is not, for every v."""
+    g = graph_t237()
+    zmin = fundamental_cycle(g)
+    z = 2 * zmin
+    points = list(itertools.product(*[range(int(c) + 1) for c in z.coeffs]))
+    for v, sign in itertools.product(g.names, (1, -1)):
+        lp = sign * estar(g, v)
+        obj = {pt: chi(-lp + Cycle(g, pt)) for pt in points}
+        best = min(obj.values())
+        violating = [pt for pt in points[1:] if obj[pt] <= obj[points[0]]]
+        report = reldom_check(z, zmin, lp, ZeroOracle(z, zmin))
+        assert report.dominant == (sign < 0) == (not violating)
+        assert report.witness == (Cycle(g, violating[0]) if violating else None)
+        assert report.rel_h1 == chi(-lp) - best
+        assert report.argmin == Cycle(g, min(pt for pt in points if obj[pt] == best))
+        assert report.nodes == len(points)
+
+
+def test_bounded_oracle_skips_points():
+    """A bounded oracle is asked only at points that can be a witness or
+    a minimizer, while nodes still reports the certified box."""
+
+    class CountingZero(ZeroOracle):
+        calls = 0
+
+        def value(self, l):
+            self.calls += 1
+            return 0
+
+    g = graph_t237()
+    zmin = fundamental_cycle(g)
+    z = 2 * zmin
+    oracle = CountingZero(z, zmin)
+    report = reldom_check(z, zmin, estar(g, "c"), oracle)
+    assert not report.dominant
+    assert report.nodes == 1365
+    assert 0 < oracle.calls < report.nodes
+
+    class BadBound(ZeroOracle):
+        def value(self, l):
+            return 1
+
+    with pytest.raises(ValidationError, match="bound"):
+        reldom_check(z, zmin, estar(g, "c"), BadBound(z, zmin))
 
 
 def test_generic_oracle_keeps_nothing_per_box_point():
