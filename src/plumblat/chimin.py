@@ -18,7 +18,7 @@ from operator import mul
 
 from .errors import BoxTooLarge, InternalError, PreconditionFailed
 from .graph import PlumbingGraph, intersection_data
-from .cycles import Cycle, common_denominator
+from .cycles import Cycle
 from . import exactlin, kernels
 
 DEFAULT_BUDGET = 10**8
@@ -34,17 +34,9 @@ def anticanonical_cycle(g: PlumbingGraph) -> Cycle:
     so Z_K = I^-1 (e + 2) = adj (e + 2) / det."""
     data = intersection_data(g)
     k = [e + 2 for e in g.euler]
-    det = data.det
-    return Cycle(
-        g, [Fraction(sum(map(mul, row, k)), det) for row in data.adjugate]
+    return Cycle.from_nums(
+        g, data.det, [sum(map(mul, row, k)) for row in data.adjugate]
     )
-
-
-def _chi_scaled(g: PlumbingGraph, den: int, x) -> Fraction:
-    """chi of the cycle with integer numerators x over den."""
-    lin = sum(xv * (e + 2) for xv, e in zip(x, g.euler))
-    quad = sum(map(mul, x, g.intersect(x)))
-    return Fraction(den * lin - quad, 2 * den * den)
 
 
 def chi(lp: Cycle) -> Fraction:
@@ -53,7 +45,10 @@ def chi(lp: Cycle) -> Fraction:
     By adjunction (l', Z_K) = sum_v l'_v (E_v^2 + 2), so Z_K itself is
     not needed; the sums run over the integer numerators of l'.
     """
-    return _chi_scaled(lp.graph, *common_denominator(lp.coeffs))
+    g, den, x = lp.graph, lp.den, lp.nums
+    lin = sum(xv * (e + 2) for xv, e in zip(x, g.euler))
+    quad = sum(map(mul, x, g.intersect(x)))
+    return Fraction(den * lin - quad, 2 * den * den)
 
 
 # -- Laufer algorithms -----------------------------------------------------
@@ -102,8 +97,9 @@ def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
     n = g.n
     zc = list(z.int_coeffs())
     l = [0] * n
-    # p = I (lp - l), updated incrementally
-    p = g.intersect(lp.coeffs)
+    # p = den * I (lp - l), updated incrementally
+    den = lp.den
+    p = g.intersect(lp.nums)
     while True:
         v = next(
             (i for i in range(n) if zc[i] - l[i] > 0 and p[i] < 0), None
@@ -112,7 +108,7 @@ def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
             return Cycle(g, l)
         l[v] += 1
         for i in range(n):
-            p[i] -= m[i][v]
+            p[i] -= den * m[i][v]
 
 
 # -- certified minimization ------------------------------------------------
@@ -138,7 +134,7 @@ def _shifted_quadratic(g: PlumbingGraph, x0: Cycle):
     the least common denominator of w in lowest terms.
     """
     m = intersection_data(g).matrix
-    den, x = common_denominator(x0.coeffs)
+    den, x = x0.den, x0.nums
     w = [den * (e + 2) - 2 * y for e, y in zip(g.euler, g.intersect(x))]
     common = gcd(den, *w)
     d = den // common
@@ -184,11 +180,13 @@ def _lower_bound_data(g: PlumbingGraph):
     data = intersection_data(g)
     zk = anticanonical_cycle(g)
     # (Z_K, Z_K) = sum_v (Z_K)_v (e_v + 2) by adjunction
-    chi_center = sum(z * (e + 2) for z, e in zip(zk.coeffs, g.euler)) / 8
+    chi_center = Fraction(
+        sum(z * (e + 2) for z, e in zip(zk.nums, g.euler)), 8 * zk.den
+    )
     spread = tuple(
         Fraction(-data.adjugate[v][v], data.det) for v in range(g.n)
     )
-    return Cycle(g, [z / 2 for z in zk.coeffs]), chi_center, spread
+    return Cycle.from_nums(g, 2 * zk.den, zk.nums), chi_center, spread
 
 
 def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertificate:
@@ -206,18 +204,16 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     if not (c.is_integral and c.is_effective):
         raise PreconditionFailed("lower bound must be an effective integral cycle")
     center, chi_center, spread = _lower_bound_data(g)
-    half = center.coeffs
+    den = center.den
     c_int = c.int_coeffs()
-    l0 = [max(ci, exactlin.ceil_frac(h)) for ci, h in zip(c_int, half)]
-    best = _chi_scaled(g, 1, l0)
+    l0 = [max(ci, -(-x // den)) for ci, x in zip(c_int, center.nums)]
+    start = Cycle(g, l0)
+    best = chi(start)
     level = best - chi_center  # >= 0 by convexity
     # |x_v - (Z_K/2)_v| <= sqrt(2 * level * ((-I)^-1)_vv) on the level set
     twice = 2 * level
     radius = [exactlin.ceil_sqrt_frac(twice * s) for s in spread]
-    hi = [
-        max(exactlin.floor_frac(h) + r, s)
-        for h, r, s in zip(half, radius, l0)
-    ]
+    hi = [max(x // den + r, s) for x, r, s in zip(center.nums, radius, l0)]
     chi_min, minimizer, size = _minimize_shifted(
         g, Cycle.zero(g), c_int, tuple(hi), budget
     )
@@ -225,7 +221,7 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
         "continuous_minimizer": center,
         "level_bound": level,
         "radius": tuple(radius),
-        "feasible_start": Cycle(g, l0),
+        "feasible_start": start,
         "start_value": best,
         "box_lo": c_int,
         "box_hi": tuple(hi),

@@ -3,17 +3,19 @@
 A :class:`Cycle` is a vertex-indexed vector of exact rationals on a fixed
 graph.  Integral cycles (lattice L) and rational Chern classes (L') share
 the one class; integrality is a queryable property, matching how the
-formulas treat them.  The pairing and the dual base are computed on the
-integer numerators of a cycle over one common denominator, with the
-integer adjugate of the intersection matrix; Fractions are built only
-for the results.
+formulas treat them.  Every denominator in L' divides |det I|, so a cycle
+is stored as integer numerators ``nums`` over one positive denominator
+``den``, in lowest terms: equal cycles have equal ``(den, nums)``, and
+``den == 1`` exactly when the cycle is integral.  The pairing, the dual
+base and the arithmetic work on these integers, with the integer adjugate
+of the intersection matrix; ``coeffs`` is the Fraction view for callers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from math import gcd, lcm
+from operator import add, ge, le, mul, sub
 import re
 
 from .errors import (
@@ -23,33 +25,52 @@ from .errors import (
     UnknownVertex,
 )
 from .graph import PlumbingGraph, intersection_data, subgraph
-from . import exactlin
 
-
-# Fractions are immutable, so cycles share one object per small integer
-# coefficient; lattice points are built by the million in box walks.
-_SMALL = {i: Fraction(i) for i in range(-256, 257)}
+_INT = frozenset([int])
+_EXACT = frozenset([int, Fraction])
 
 
 class Cycle:
-    """Immutable exact-rational vector indexed by the vertices of a graph."""
+    """Immutable exact-rational vector indexed by the vertices of a graph:
+    the integers ``nums`` over ``den > 0``, with gcd(den, *nums) == 1."""
 
-    __slots__ = ("graph", "coeffs")
+    __slots__ = ("graph", "den", "nums")
 
     def __init__(self, graph: PlumbingGraph, coeffs):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple([
-                c if type(c) is Fraction
-                else _SMALL[c] if c in _SMALL
-                else Fraction(c)
-                for c in coeffs
-            ]),
-        )
-        if len(self.coeffs) != graph.n:
+        """Coefficients are ints, Fractions or anything ``Fraction()``
+        accepts; a tuple of ints is stored as it is."""
+        nums = tuple(coeffs)
+        den = 1
+        if not _INT.issuperset(map(type, nums)):
+            values = [c if type(c) in _EXACT else Fraction(c) for c in nums]
+            # Fractions are in lowest terms, so over their lcm the
+            # numerators share no factor with it.
+            den = lcm(*[c.denominator for c in values])
+            nums = tuple([c.numerator * (den // c.denominator) for c in values])
+        if len(nums) != graph.n:
             raise ValueError("coefficient count does not match graph")
+        _set_graph(self, graph)
+        _set_den(self, den)
+        _set_nums(self, nums)
+
+    @classmethod
+    def from_nums(cls, graph: PlumbingGraph, den: int, nums) -> Cycle:
+        """The cycle with coefficients nums[i] / den (den nonzero, nums
+        integers), reduced to lowest terms with a positive denominator."""
+        nums = tuple(nums)
+        if len(nums) != graph.n:
+            raise ValueError("coefficient count does not match graph")
+        common = gcd(den, *nums)
+        if den < 0:
+            common = -common
+        if common != 1:
+            den //= common
+            nums = tuple([x // common for x in nums])
+        self = cls.__new__(cls)
+        _set_graph(self, graph)
+        _set_den(self, den)
+        _set_nums(self, nums)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Cycle is immutable")
@@ -73,42 +94,41 @@ class Cycle:
 
     @classmethod
     def from_dict(cls, g, d):
-        c = [Fraction(0)] * g.n
+        c = [0] * g.n
         for v, x in d.items():
-            c[g.index(v)] = Fraction(x)
+            c[g.index(v)] = x
         return cls(g, c)
 
     # -- views ----------------------------------------------------------
 
-    def __getitem__(self, v):
-        return self.coeffs[self.graph.index(v)]
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of Fractions, built on each read."""
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
-    def as_dict(self):
-        return {
-            n: c for n, c in zip(self.graph.names, self.coeffs) if c != 0
-        }
+    def __getitem__(self, v):
+        return Fraction(self.nums[self.graph.index(v)], self.den)
 
     def support(self):
-        return tuple(
-            n for n, c in zip(self.graph.names, self.coeffs) if c != 0
-        )
+        return tuple(n for n, x in zip(self.graph.names, self.nums) if x)
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     @property
     def is_effective(self):
-        return all(c >= 0 for c in self.coeffs)
+        return all(x >= 0 for x in self.nums)
 
     def int_coeffs(self):
-        if not self.is_integral:
+        if self.den != 1:
             raise ValueError("cycle is not integral")
-        return tuple(int(c) for c in self.coeffs)
+        return self.nums
 
     # -- arithmetic ------------------------------------------------------
 
@@ -116,19 +136,33 @@ class Cycle:
         if self.graph != other.graph:
             raise GraphMismatch("cycles live on different graphs")
 
-    def __add__(self, other):
+    def _lift(self, other):
+        """``(den, x, y)``: both cycles as numerators over one denominator."""
         self._same_graph(other)
-        return Cycle(self.graph, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        da, db = self.den, other.den
+        if da == db:
+            return da, self.nums, other.nums
+        den = lcm(da, db)
+        ka, kb = den // da, den // db
+        return den, [x * ka for x in self.nums], [y * kb for y in other.nums]
+
+    def __add__(self, other):
+        den, x, y = self._lift(other)
+        return Cycle.from_nums(self.graph, den, map(add, x, y))
 
     def __sub__(self, other):
-        self._same_graph(other)
-        return Cycle(self.graph, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        den, x, y = self._lift(other)
+        return Cycle.from_nums(self.graph, den, map(sub, x, y))
 
     def __neg__(self):
-        return Cycle(self.graph, [-a for a in self.coeffs])
+        return Cycle.from_nums(self.graph, -self.den, self.nums)
 
     def __mul__(self, k):
-        return Cycle(self.graph, [Fraction(k) * a for a in self.coeffs])
+        k = Fraction(k)
+        p = k.numerator
+        return Cycle.from_nums(
+            self.graph, self.den * k.denominator, [p * x for x in self.nums]
+        )
 
     __rmul__ = __mul__
 
@@ -136,31 +170,29 @@ class Cycle:
         return (
             isinstance(other, Cycle)
             and self.graph == other.graph
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.graph, self.coeffs))
+        return hash((self.graph, self.den, self.nums))
 
     def __le__(self, other):
-        self._same_graph(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        _, x, y = self._lift(other)
+        return all(map(le, x, y))
 
     def __ge__(self, other):
-        self._same_graph(other)
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs))
+        _, x, y = self._lift(other)
+        return all(map(ge, x, y))
 
     def __repr__(self):
         return f"Cycle({format_cycle(self)!r})"
 
 
-def common_denominator(values):
-    """``(den, nums)`` for Fractions: their least common denominator and
-    the integer numerators over it, so that values[i] = nums[i] / den."""
-    den = lcm(*(c.denominator for c in values))
-    if den == 1:
-        return 1, [c.numerator for c in values]
-    return den, [c.numerator * (den // c.denominator) for c in values]
+# Slot setters that bypass the immutability guard, for the constructors.
+_set_graph = Cycle.graph.__set__
+_set_den = Cycle.den.__set__
+_set_nums = Cycle.nums.__set__
 
 
 # -- pairing and dual base -------------------------------------------------
@@ -169,9 +201,9 @@ def common_denominator(values):
 def pairing(a: Cycle, b: Cycle) -> Fraction:
     """The intersection pairing a^T I b, exact."""
     a._same_graph(b)
-    da, x = common_denominator(a.coeffs)
-    db, y = common_denominator(b.coeffs)
-    return Fraction(sum(map(mul, x, a.graph.intersect(y))), da * db)
+    return Fraction(
+        sum(map(mul, a.nums, a.graph.intersect(b.nums))), a.den * b.den
+    )
 
 
 def estar(g: PlumbingGraph, v) -> Cycle:
@@ -182,8 +214,7 @@ def estar(g: PlumbingGraph, v) -> Cycle:
     """
     i = g.index(v)
     data = intersection_data(g)
-    det = data.det
-    return Cycle(g, [Fraction(-row[i], det) for row in data.adjugate])
+    return Cycle.from_nums(g, -data.det, [row[i] for row in data.adjugate])
 
 
 def estar_decompose(lp: Cycle):
@@ -193,9 +224,9 @@ def estar_decompose(lp: Cycle):
     E*-support of lp in declaration order.
     """
     g = lp.graph
-    den, x = common_denominator(lp.coeffs)
+    den = -lp.den
     coeffs = {
-        name: Fraction(-p, den) for name, p in zip(g.names, g.intersect(x))
+        name: Fraction(p, den) for name, p in zip(g.names, g.intersect(lp.nums))
     }
     supp = tuple(n for n in g.names if coeffs[n] != 0)
     return coeffs, supp
@@ -204,14 +235,12 @@ def estar_decompose(lp: Cycle):
 def from_estar_coeffs(g: PlumbingGraph, coeffs) -> Cycle:
     """Inverse of :func:`estar_decompose`: build sum a_v E*_v, which is
     -adj a / det."""
-    a = [Fraction(0)] * g.n
-    for v, c in coeffs.items():
-        a[g.index(v)] = Fraction(c)
-    den, nums = common_denominator(a)
+    a = Cycle.from_dict(g, coeffs)  # the vector a over one denominator
     data = intersection_data(g)
-    scale = -data.det * den
-    return Cycle(
-        g, [Fraction(sum(map(mul, row, nums)), scale) for row in data.adjugate]
+    return Cycle.from_nums(
+        g,
+        -data.det * a.den,
+        [sum(map(mul, row, a.nums)) for row in data.adjugate],
     )
 
 
@@ -240,8 +269,8 @@ def restrict_cycle(z: Cycle, subset) -> Cycle:
     """Coefficient truncation: keep coordinates in ``subset``, zero elsewhere."""
     g = z.graph
     keep = {g.index(v) for v in subset}
-    return Cycle(
-        g, [c if i in keep else Fraction(0) for i, c in enumerate(z.coeffs)]
+    return Cycle.from_nums(
+        g, z.den, [x if i in keep else 0 for i, x in enumerate(z.nums)]
     )
 
 
@@ -265,8 +294,8 @@ def restrict_R(lp: Cycle, subset):
 
 def meet(a: Cycle, b: Cycle) -> Cycle:
     """Componentwise minimum (greatest lower bound for the coefficient order)."""
-    a._same_graph(b)
-    return Cycle(a.graph, [min(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+    den, x, y = a._lift(b)
+    return Cycle.from_nums(a.graph, den, map(min, x, y))
 
 
 # -- cycle literals --------------------------------------------------------
@@ -283,7 +312,7 @@ def parse_cycle(g: PlumbingGraph, text: str) -> Cycle:
     text = text.strip()
     if text in ("", "0"):
         return Cycle.zero(g)
-    coeffs = [Fraction(0)] * g.n
+    coeffs = [0] * g.n
     seen = set()
     for tok in text.split():
         m = _PAIR_RE.match(tok)
@@ -304,18 +333,15 @@ def format_fraction(x: Fraction) -> str:
 
 
 def format_cycle(z: Cycle) -> str:
-    parts = [
-        f"{n}={format_fraction(c)}"
-        for n, c in zip(z.graph.names, z.coeffs)
-        if c != 0
-    ]
+    parts = [f"{n}={c}" for n, c in cycle_to_json(z).items()]
     return " ".join(parts) if parts else "0"
 
 
 def cycle_to_json(z: Cycle) -> dict:
     """JSON view: name -> "p/q" string, nonzero entries in declaration order."""
+    den = z.den
     return {
-        n: format_fraction(c)
-        for n, c in zip(z.graph.names, z.coeffs)
-        if c != 0
+        n: format_fraction(Fraction(x, den))
+        for n, x in zip(z.graph.names, z.nums)
+        if x
     }

@@ -13,12 +13,13 @@ integer intersection matrix (Bareiss 1968), done in Python integers:
 ``inverse`` is the Fraction view ``adj / det``, built on first use.
 Every cycle in the dual lattice has a denominator dividing ``|det|``.
 
-The Fraction and per-minor routines below (``invert``, ``solve``,
-``mat_mul``, ``mat_vec``, ``identity``, ``leading_minors`` and
-``det_bareiss``) have no caller in the library; they are the
-independent references the tests compare against, and the benchmark's
-tracer (``plumbench/spans.py``) binds some of them by name.  No floating
-point is used anywhere in the package.
+``mat_mul`` composes the pullback matrices of blow-up chains.  The
+Fraction and per-minor routines below (``invert``, ``solve``,
+``mat_vec``, ``identity``, ``leading_minors`` and ``det_bareiss``) have
+no caller in the library; they are the independent references the tests
+compare against, and the benchmark's tracer (``plumbench/spans.py``)
+binds some of them by name.  No floating point is used anywhere in the
+package.
 """
 
 from fractions import Fraction
@@ -173,14 +174,6 @@ def leading_minors(m):
     return [
         det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)
     ]
-
-
-def floor_frac(x):
-    return x.numerator // x.denominator
-
-
-def ceil_frac(x):
-    return -((-x.numerator) // x.denominator)
 
 
 def ceil_sqrt_frac(x):

@@ -30,13 +30,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .cycles import (
-    Cycle,
-    common_denominator,
-    from_estar_coeffs,
-    meet,
-    parse_cycle,
-)
+from .cycles import Cycle, from_estar_coeffs, parse_cycle
 from .chimin import DEFAULT_BUDGET, _shifted_quadratic
 from .genus import fiber_dim, interval_floor_line_bundle
 from .graph import subgraph
@@ -94,6 +88,7 @@ class TableOracle(H1Oracle):
         self.table = {tuple(int(c) for c in k): int(v) for k, v in table.items()}
         lo = (0,) * z.graph.n
         hi = z.int_coeffs()
+        z1c = z1.int_coeffs()
         self.bound = 0
         for point in kernels.iter_box(lo, hi):
             if point not in self.table:
@@ -104,14 +99,13 @@ class TableOracle(H1Oracle):
             if v < 0:
                 raise ValidationError(f"negative oracle value at {point}")
             self.bound = max(self.bound, v)
-            l = Cycle(z.graph, point)
-            if meet(z - l, z1).is_zero and v != 0:
+            if v and all(min(a - b, c) == 0 for a, b, c in zip(hi, point, z1c)):
                 raise ValidationError(
                     f"oracle must vanish at {point}: the fixed part is empty"
                 )
 
     def value(self, l):
-        return self.table[tuple(int(c) for c in l.coeffs)]
+        return self.table[l.int_coeffs()]
 
 
 class GenericNaturalOracle(H1Oracle):
@@ -160,8 +154,8 @@ class _GenericWalk:
         self.budget = budget
         self.z = oracle.z.int_coeffs()
         self.z1 = oracle.z1.int_coeffs()
-        self.den, x = common_denominator(oracle.lp.coeffs)
-        self.a = [-y for y in g.intersect(x)]
+        self.den = oracle.lp.den
+        self.a = [-y for y in g.intersect(oracle.lp.nums)]
         self.splits = {}
         self.floors = {}
 

@@ -11,7 +11,7 @@ that minus the last -1 curve) are provided as separate operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 from .errors import (
     GraphMismatch,
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .graph import PlumbingGraph
 from .cycles import Cycle, restrict_cycle
+from . import exactlin
 
 
 @dataclass(frozen=True)
@@ -38,11 +39,9 @@ class BlowupResult:
         """Pairing-preserving pullback of a cycle from the original graph."""
         if cycle.graph != self.original:
             raise GraphMismatch("cycle does not live on the original graph")
-        coeffs = [
-            sum(row[j] * c for j, c in enumerate(cycle.coeffs) if c)
-            for row in self.matrix
-        ]
-        return Cycle(self.new_graph, coeffs)
+        x = cycle.nums
+        nums = [sum(map(mul, row, x)) for row in self.matrix]
+        return Cycle.from_nums(self.new_graph, cycle.den, nums)
 
     @property
     def last_vertex(self):
@@ -79,18 +78,9 @@ def _finalize(original, steps):
     matrix maps the previous graph's cycles to the new one.
     """
     new_graph, _, _ = steps[-1]
-    mat = None
-    for _, _, m in steps:
-        if mat is None:
-            mat = m
-        else:
-            mat = [
-                [
-                    sum(row[t] * mat[t][j] for t in range(len(mat)))
-                    for j in range(len(mat[0]))
-                ]
-                for row in m
-            ]
+    mat = steps[0][2]
+    for _, _, m in steps[1:]:
+        mat = exactlin.mat_mul(m, mat)
     original_names = set(original.names)
     dist = _distances(new_graph, original_names)
     new_vertices = tuple(
@@ -146,14 +136,12 @@ def _step_edge(g: PlumbingGraph, u, w, name):
 
 def blowup_generic(g: PlumbingGraph, u) -> BlowupResult:
     """Blow up the curve u at a generic point."""
-    g.index(u)
-    name = _fresh_name(set(g.names), u, 1)
-    return _finalize(g, [_step_generic(g, u, name)])
+    return blowup_chain(g, u, 1)
 
 
 def blowup_edge(g: PlumbingGraph, u, w) -> BlowupResult:
     """Blow up the intersection point of the curves u and w."""
-    return _finalize(g, [_step_edge(g, u, w, _fresh_name(set(g.names), u, 1))])
+    return blowup_edge_chain(g, u, w, 1)
 
 
 def blowup_chain(g: PlumbingGraph, u, k: int) -> BlowupResult:
@@ -204,7 +192,7 @@ def z_new(b: BlowupResult, z: Cycle) -> Cycle:
         b.new_graph, {name: d for name, d in b.new_vertices}
     )
     out = result - adjust
-    if any(c < 0 for c in out.coeffs):
+    if not out.is_effective:
         raise NegativeCoefficient(
             "derived cycle has a negative coefficient; the chain is longer "
             "than the blown-up coefficient allows"

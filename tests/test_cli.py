@@ -367,3 +367,66 @@ def test_determinism_byte_identical(gfile, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def test_relh1_budget_exits_3(gfile, capsys):
+    path = gfile(T237)
+    for oracle in ("zero", "generic"):
+        code, out, err = run(
+            capsys,
+            "relh1",
+            "--graph",
+            path,
+            "--z",
+            "2*zmin",
+            "--z1",
+            "zmin",
+            "--lprime",
+            "0",
+            "--oracle",
+            oracle,
+            "--budget",
+            "1364",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: search box has 1365 nodes, exceeding the budget of 1364\n"
+
+
+def test_relh1_generic_oracle(gfile, capsys):
+    payload = run_json(
+        capsys,
+        "relh1",
+        "--graph",
+        gfile(T237),
+        "--z",
+        "2*zmin",
+        "--z1",
+        "zmin",
+        "--lprime",
+        "estar:c",
+        "--oracle",
+        "generic",
+    )
+    assert payload == {
+        "dominant": False,
+        "witness": {"r": "1"},
+        "rel_h1": 11,
+        "argmin": {"c": "6", "p": "3", "q": "2", "r": "1"},
+        "nodes": 1365,
+    }
+
+
+def test_zk_and_rational(gfile, capsys):
+    chain = gfile("vertex x -2\nvertex y -3\nvertex z -2\nedge x y\nedge y z\n", "chain.txt")
+    t237 = gfile(T237, "t237.txt")
+    assert run_json(capsys, "zk", "--graph", chain) == {
+        "zk": {"x": "1/4", "y": "1/2", "z": "1/4"}
+    }
+    assert run(capsys, "zk", "--graph", chain) == (0, "zk: x=1/4 y=1/2 z=1/4\n", "")
+    assert run_json(capsys, "zk", "--graph", t237) == {
+        "zk": {"c": "2", "p": "1", "q": "1", "r": "1"}
+    }
+    assert run_json(capsys, "zk", "--graph", gfile(A2, "a2.txt")) == {"zk": {}}
+    assert run_json(capsys, "rational", "--graph", chain) == {"rational": True}
+    assert run_json(capsys, "rational", "--graph", t237) == {"rational": False}
+    assert run(capsys, "rational", "--graph", t237) == (0, "rational: false\n", "")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,13 @@ from plumblat import (
 )
 from plumblat.cycles import format_cycle, from_estar_coeffs
 
-from conftest import graph_a1, graph_a2, random_rat_cycle, random_tree
+from conftest import (
+    graph_a1,
+    graph_a2,
+    graph_d4,
+    random_rat_cycle,
+    random_tree,
+)
 
 
 def test_pairing_examples():
@@ -179,3 +186,79 @@ def test_cycle_literal_roundtrip():
     for text in ("a=1 b=2/3", "b=-1/2", "0"):
         z = parse_cycle(a2, text)
         assert parse_cycle(a2, format_cycle(z)) == z
+
+
+def in_lowest_terms(z):
+    return z.den > 0 and gcd(z.den, *z.nums) == 1
+
+
+def test_cycle_inputs_give_the_fraction_view_in_lowest_terms():
+    d4 = graph_d4()
+    for values in (
+        [0, 3, -2, 7],
+        [Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 6)],
+        ["1/2", "-4/6", "0", "3"],
+        [0.5, -0.25, 2.0, 0.0],
+        [Fraction(2, 4), 1, "3/9", 0.75],
+        [Fraction(4, 2), "6/3", 2.0, 0],
+    ):
+        z = Cycle(d4, values)
+        assert z.coeffs == tuple(Fraction(c) for c in values)
+        assert in_lowest_terms(z)
+        assert z.coeffs == tuple(Fraction(x, z.den) for x in z.nums)
+        assert z.is_integral == (z.den == 1)
+    assert Cycle(d4, [Fraction(4, 2), "6/3", 2.0, 0]).int_coeffs() == (2, 2, 2, 0)
+    with pytest.raises(ValueError):
+        Cycle(d4, [1, 2, 3])
+
+
+def test_arithmetic_matches_fraction_coefficients():
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_tree(rng, max_n=6)
+        a, b = random_rat_cycle(rng, g), random_rat_cycle(rng, g)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        keep = [v for v in g.names if rng.random() < 0.5]
+        x, y = a.coeffs, b.coeffs
+        cases = [
+            (a + b, [p + q for p, q in zip(x, y)]),
+            (a - b, [p - q for p, q in zip(x, y)]),
+            (-a, [-p for p in x]),
+            (k * a, [k * p for p in x]),
+            (a * k, [k * p for p in x]),
+            (meet(a, b), [min(p, q) for p, q in zip(x, y)]),
+            (restrict_cycle(a, keep), [a[v] if v in keep else 0 for v in g.names]),
+        ]
+        for z, want in cases:
+            assert z.coeffs == tuple(want)
+            assert in_lowest_terms(z)
+        assert (a <= b) == all(p <= q for p, q in zip(x, y))
+        assert (a >= b) == all(p >= q for p, q in zip(x, y))
+
+
+def test_equal_cycles_built_different_ways():
+    a2 = graph_a2()
+    target = Cycle(a2, [Fraction(2, 3), Fraction(1, 3)])
+    ways = [
+        estar(a2, "a"),
+        Cycle(a2, ["2/3", "1/3"]),
+        Cycle.from_dict(a2, {"a": Fraction(4, 6), "b": Fraction(1, 3)}),
+        from_estar_coeffs(a2, {"a": 1}),
+        parse_cycle(a2, "b=1/3 a=2/3"),
+        Cycle(a2, ["1/3", "2/3"]) + Cycle(a2, ["1/3", "-1/3"]),
+        Cycle(a2, [1, 1]) - Cycle(a2, ["1/3", "2/3"]),
+        Fraction(1, 3) * Cycle(a2, [2, 1]),
+        Cycle(a2, [4, 2]) * Fraction(1, 6),
+        -Cycle(a2, ["-2/3", "-1/3"]),
+        2 * Cycle(a2, ["1/3", "1/6"]),
+    ]
+    for z in ways:
+        assert z == target
+        assert hash(z) == hash(target)
+        assert (z.den, z.nums) == (3, (2, 1))
+    assert len(set(ways)) == 1
+    assert Cycle(a2, ["1/2", "1/2"]) + Cycle(a2, ["1/2", "-1/2"]) == Cycle(a2, [1, 0])
+    assert target != Cycle(a2, [Fraction(2, 3), 0])
+    for name in ("graph", "den", "nums", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(target, name, None)

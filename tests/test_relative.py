@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from plumblat import (
+    BoxTooLarge,
     Cycle,
     GenericNaturalOracle,
+    GraphSyntaxError,
     HypothesisFailed,
     OracleIncomplete,
     PlumbingGraph,
@@ -415,3 +417,69 @@ def test_oracle_file_roundtrip():
     assert oracle.z == Cycle.ones(a2)
     assert oracle.z1 == Cycle.basis(a2, "a")
     assert oracle.value(Cycle.zero(a2)) == 0
+
+
+def test_box_beyond_the_budget_raises():
+    g = graph_t237()
+    z1 = fundamental_cycle(g)
+    z = 2 * z1  # 13 * 7 * 5 * 3 = 1365 box points
+    lp = Cycle.zero(g)
+    for fn in (relgen_h1, reldom_check):
+        for oracle in (ZeroOracle(z, z1), GenericNaturalOracle(z, z1, lp)):
+            with pytest.raises(BoxTooLarge) as exc:
+                fn(z, z1, lp, oracle, budget=1364)
+            assert (exc.value.required, exc.value.budget) == (1365, 1364)
+            assert fn(z, z1, lp, oracle, budget=1365).nodes == 1365
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "# only a comment\n",
+        "a=1 -> 0\n",
+        "oracle z=a=1\n0 -> 0\n",
+        "oracle a=1 z1=a=1\n0 -> 0\n",
+        "oracle z=a=1 b=1 z1=a=1\n0 0\n",
+        "oracle z=a=1 b=1 z1=a=1\na=1/2 -> 0\n",
+        "oracle z=a=1 b=1 z1=a=1\n0 -> x\n",
+        "oracle z=a=1 b=1 z1=a=1\n0 -> 1/2\n",
+        "oracle z=a=1 b=1 z1=a=1\n0 -> 0\n0 -> 0\n",
+        "oracle z=a=1 b=1 z1=a=1\na=1 b=1 -> 0\nb=1 a=1 -> 0\n",
+    ],
+    ids=[
+        "empty",
+        "comment-only",
+        "missing-header",
+        "header-without-z1",
+        "header-without-z",
+        "line-without-arrow",
+        "non-integral-point",
+        "non-integer-value",
+        "fractional-value",
+        "duplicate-point",
+        "duplicate-point-reordered",
+    ],
+)
+def test_oracle_file_syntax_errors(text):
+    with pytest.raises(GraphSyntaxError):
+        parse_oracle_file(graph_a2(), text)
+
+
+def test_table_oracle_vanishing_matches_meet():
+    rng = random.Random(29)
+    for _ in range(30):
+        g = random_tree(rng, max_n=4)
+        z = Cycle(g, [rng.randint(0, 2) for _ in range(g.n)])
+        z1 = Cycle(g, [rng.randint(0, c) for c in z.int_coeffs()])
+
+        def fixed(pt):
+            return not meet(z - Cycle(g, pt), z1).is_zero
+
+        oracle = TableOracle(z, z1, box_table(z, lambda pt: int(fixed(pt))))
+        assert oracle.bound == int(any(map(fixed, box_table(z, fixed))))
+        empty = [pt for pt in box_table(z, fixed) if not fixed(pt)]
+        table = box_table(z, lambda pt: 0)
+        table[empty[-1]] = 1
+        with pytest.raises(ValidationError):
+            TableOracle(z, z1, table)
