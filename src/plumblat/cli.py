@@ -196,6 +196,9 @@ def _surgery_result(g, args):
     return blowup_chain(g, args.at, args.times)
 
 
+_LPRIME_HELP = "Chern class l': cycle literal, estar:<v> or --lprime=-estar:<v>"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="plumblat",
@@ -220,26 +223,26 @@ def build_parser():
     add("validate", help="parse and validate a graph")
     add("invariants", help="summary: det, group order, zk, zmin, rationality")
     p = add("chi", help="evaluate the Riemann-Roch function")
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     add("zk", help="anticanonical cycle")
     add("zmin", help="fundamental cycle")
     add("rational", help="Artin rationality test")
     p = add("minchi", help="certified chi minimization")
     p.add_argument("--box", help="minimize chi(-l'+l) over 0 <= l <= Z")
     p.add_argument("--lower", help="minimize chi over l >= C")
-    p.add_argument("--lprime", default="0")
+    p.add_argument("--lprime", default="0", help=_LPRIME_HELP)
     p = add("reduce", help="Laufer reduction of a Chern class")
     p.add_argument("--z", required=True)
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     p = add("floor", help="interval floor for line bundles of Chern class l'")
     p.add_argument("--z", required=True)
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     add("generic-pg", help="geometric genus of the generic singularity")
     p = add("generic-h1oz", help="generic h1 of the structure sheaf of Z")
     p.add_argument("--z", required=True)
     p = add("eca-dim", help="dimension of the effective divisor space")
     p.add_argument("--z", required=True)
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     p = add("ez", help="generic affine-image dimension for an E*-support")
     p.add_argument("--z", required=True)
     p.add_argument("--subset", required=True)
@@ -247,11 +250,11 @@ def build_parser():
         p = add(name, help=f"{name}: relative formulas driven by an h1 oracle")
         p.add_argument("--z", required=True)
         p.add_argument("--z1", required=True)
-        p.add_argument("--lprime", required=True)
+        p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
         p.add_argument("--oracle", required=True, help="zero | generic | <file>")
     p = add("relspace-dim", help="relative divisor space dimension")
     p.add_argument("--z", required=True)
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     p.add_argument("--h1-l", type=int, required=True)
     p.add_argument("--h1-oz", type=int, required=True)
     p = add("blowup", help="blow up a vertex or an edge")
@@ -273,7 +276,7 @@ def build_parser():
     p = add("estar", help="dual base element of a vertex")
     p.add_argument("--vertex", required=True)
     p = add("restrict", help="cohomological restriction onto a subgraph")
-    p.add_argument("--lprime", required=True)
+    p.add_argument("--lprime", required=True, help=_LPRIME_HELP)
     p.add_argument("--subset", required=True)
     return parser
 

@@ -8,7 +8,8 @@ is stored as integer numerators ``nums`` over one positive denominator
 ``den``, in lowest terms: equal cycles have equal ``(den, nums)``, and
 ``den == 1`` exactly when the cycle is integral.  The pairing, the dual
 base and the arithmetic work on these integers, with the integer adjugate
-of the intersection matrix; ``coeffs`` is the Fraction view for callers.
+of the intersection matrix, and so do the E*-coordinates -(l', E_v).
+Coordinates are Fractions only in ``coeffs``, ``z[v]`` and ``estar_decompose``.
 """
 
 from __future__ import annotations
@@ -217,6 +218,21 @@ def estar(g: PlumbingGraph, v) -> Cycle:
     return Cycle.from_nums(g, -data.det, [row[i] for row in data.adjugate])
 
 
+def _estar_nums(lp: Cycle) -> list:
+    """The E*-coordinates a_v = -(lp, E_v) of lp, as integer numerators
+    over ``lp.den``."""
+    return [-y for y in lp.graph.intersect(lp.nums)]
+
+
+def _from_estar_nums(g: PlumbingGraph, den: int, a) -> Cycle:
+    """The cycle sum a_v E*_v with E*-coordinates a[i] / den (integers
+    a, den > 0): since (E*_v, E_w) = -delta_vw it is -adj a / (det den)."""
+    data = intersection_data(g)
+    return Cycle.from_nums(
+        g, -data.det * den, [sum(map(mul, row, a)) for row in data.adjugate]
+    )
+
+
 def estar_decompose(lp: Cycle):
     """Coefficients a_v with lp = sum a_v E*_v, i.e. a_v = -(lp, E_v).
 
@@ -224,42 +240,33 @@ def estar_decompose(lp: Cycle):
     E*-support of lp in declaration order.
     """
     g = lp.graph
-    den = -lp.den
-    coeffs = {
-        name: Fraction(p, den) for name, p in zip(g.names, g.intersect(lp.nums))
-    }
+    den = lp.den
+    coeffs = {name: Fraction(x, den) for name, x in zip(g.names, _estar_nums(lp))}
     supp = tuple(n for n in g.names if coeffs[n] != 0)
     return coeffs, supp
 
 
 def from_estar_coeffs(g: PlumbingGraph, coeffs) -> Cycle:
-    """Inverse of :func:`estar_decompose`: build sum a_v E*_v, which is
-    -adj a / det."""
+    """Inverse of :func:`estar_decompose`: build sum a_v E*_v from a dict
+    of coefficients."""
     a = Cycle.from_dict(g, coeffs)  # the vector a over one denominator
-    data = intersection_data(g)
-    return Cycle.from_nums(
-        g,
-        -data.det * a.den,
-        [sum(map(mul, row, a.nums)) for row in data.adjugate],
-    )
+    return _from_estar_nums(g, a.den, a.nums)
 
 
 def in_lipman_cone(lp: Cycle) -> bool:
     """True iff (lp, E_v) <= 0 for every vertex (lp is antinef)."""
-    coeffs, _ = estar_decompose(lp)
-    return all(a >= 0 for a in coeffs.values())
+    return all(x >= 0 for x in _estar_nums(lp))
 
 
 def in_minus_lipman_cone(lp: Cycle) -> bool:
     """True iff (lp, E_v) >= 0 for every vertex."""
-    coeffs, _ = estar_decompose(lp)
-    return all(a <= 0 for a in coeffs.values())
+    return all(x <= 0 for x in _estar_nums(lp))
 
 
 def is_dual_lattice_member(lp: Cycle) -> bool:
     """Membership in L': all pairings with base elements are integers."""
-    coeffs, _ = estar_decompose(lp)
-    return all(a.denominator == 1 for a in coeffs.values())
+    den = lp.den
+    return all(x % den == 0 for x in _estar_nums(lp))
 
 
 # -- restrictions ----------------------------------------------------------
@@ -284,11 +291,12 @@ def restrict_R(lp: Cycle, subset):
     """
     if not set(subset):
         raise EmptySubset("vertex subset is empty")
-    coeffs, _ = estar_decompose(lp)
+    g = lp.graph
+    a = _estar_nums(lp)
     out = []
-    for comp in subgraph(lp.graph, subset):
-        local = {v: coeffs[v] for v in comp.names if coeffs[v] != 0}
-        out.append((comp, from_estar_coeffs(comp, local)))
+    for comp in subgraph(g, subset):
+        a_c = [a[g.index(v)] for v in comp.names]
+        out.append((comp, _from_estar_nums(comp, lp.den, a_c)))
     return out
 
 

@@ -9,9 +9,9 @@ integer intersection matrix (Bareiss 1968), done in Python integers:
 * :func:`bareiss_pivots` is the forward pass alone; its pivots are the
   leading principal minors, which decide negative definiteness.
 
-``graph.IntersectionData`` stores ``det`` and the adjugate; its
-``inverse`` is the Fraction view ``adj / det``, built on first use.
-Every cycle in the dual lattice has a denominator dividing ``|det|``.
+``graph.IntersectionData`` stores ``det`` and the integer adjugate, and
+no Fraction inverse.  Every cycle in the dual lattice has a denominator
+dividing ``|det|``.
 
 ``mat_mul`` composes the pullback matrices of blow-up chains.  The
 Fraction and per-minor routines below (``invert``, ``solve``,

@@ -15,7 +15,6 @@ from .errors import InternalError, PreconditionFailed
 from .graph import PlumbingGraph, components, subgraph
 from .cycles import (
     Cycle,
-    estar_decompose,
     in_minus_lipman_cone,
     is_dual_lattice_member,
     pairing,
@@ -47,7 +46,7 @@ class IntervalFloorReport:
 
 
 def _component_cycle(comp: PlumbingGraph, z: Cycle) -> Cycle:
-    return Cycle.from_dict(comp, {v: z[v] for v in comp.names})
+    return Cycle.from_nums(comp, z.den, [z.nums[z.graph.index(v)] for v in comp.names])
 
 
 def interval_floor_line_bundle(
@@ -123,7 +122,7 @@ def generic_h1_oz_floor(z: Cycle, budget: int | None = None) -> IntervalFloorRep
         )
     total = Fraction(0)
     entries = []
-    minimizer = Cycle.zero(g)
+    minimizer = [0] * g.n
     nodes = 0
     for comp in subgraph(g, supp):
         z_c = _component_cycle(comp, z)
@@ -132,14 +131,13 @@ def generic_h1_oz_floor(z: Cycle, budget: int | None = None) -> IntervalFloorRep
         val = 1 - cert.min_value
         entries.append((comp.names, val))
         total += val
-        attained = e_c + cert.minimizer
-        minimizer = minimizer + Cycle.from_dict(
-            g, {v: attained[v] for v in comp.names}
-        )
+        # the attained cycle is E_c + l on the component, 0 elsewhere
+        for v, x in zip(comp.names, cert.minimizer.int_coeffs()):
+            minimizer[g.index(v)] = x + 1
         nodes += cert.nodes
     return IntervalFloorReport(
         floor=total,
-        minimizer=minimizer,
+        minimizer=Cycle(g, minimizer),
         integral=True,
         applicable=None,
         per_component=tuple(entries),

@@ -4,13 +4,14 @@ A plumbing graph is a tree whose vertices carry an Euler number (the
 self-intersection of the corresponding exceptional curve); all genus
 decorations are implicitly zero.  Validation happens at construction
 time: every downstream formula assumes negative definiteness.
+:func:`intersection_data` holds the lattice data in integers: the
+determinant and the adjugate det * I^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import re
 
 from .errors import (
@@ -147,24 +148,13 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionData:
-    """Exact data attached to the intersection form of one graph.
-
-    The integer adjugate carries I^-1 = adjugate / det; ``inverse`` is
-    its Fraction view, built on first use.
-    """
+    """Exact integer data attached to the intersection form of one graph:
+    the integer adjugate carries I^-1 = adjugate / det."""
 
     matrix: tuple  # tuple of tuples of int
     adjugate: tuple  # tuple of tuples of int, det * I^-1
     det: int
     group_order: int  # |L'/L| = |det|
-
-    @cached_property
-    def inverse(self):
-        """I^-1 as a tuple of tuples of Fraction."""
-        det = self.det
-        return tuple(
-            tuple(Fraction(a, det) for a in row) for row in self.adjugate
-        )
 
 
 @lru_cache(maxsize=None)

@@ -30,7 +30,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .cycles import Cycle, from_estar_coeffs, parse_cycle
+from .cycles import Cycle, _estar_nums, _from_estar_nums, parse_cycle
 from .chimin import DEFAULT_BUDGET, _shifted_quadratic
 from .genus import fiber_dim, interval_floor_line_bundle
 from .graph import subgraph
@@ -155,7 +155,7 @@ class _GenericWalk:
         self.z = oracle.z.int_coeffs()
         self.z1 = oracle.z1.int_coeffs()
         self.den = oracle.lp.den
-        self.a = [-y for y in g.intersect(oracle.lp.nums)]
+        self.a = _estar_nums(oracle.lp)
         self.splits = {}
         self.floors = {}
 
@@ -183,10 +183,7 @@ class _GenericWalk:
         return total
 
     def _floor(self, comp, z_c, a_c):
-        den = self.den
-        lp_c = from_estar_coeffs(
-            comp, {v: Fraction(x, den) for v, x in zip(comp.names, a_c) if x}
-        )
+        lp_c = _from_estar_nums(comp, self.den, a_c)
         f = interval_floor_line_bundle(Cycle(comp, z_c), lp_c, self.budget).floor
         if f.denominator != 1:
             raise ValidationError(

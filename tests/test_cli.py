@@ -130,6 +130,21 @@ def test_estar_and_restrict(gfile, capsys):
         "b",
     )
     assert payload == {"components": [{"vertices": ["b"], "cycle": {}}]}
+    code, out, err = run(
+        capsys, "restrict", "--graph", path, "--lprime", "estar:a", "--subset", ""
+    )
+    assert (code, out, err) == (2, "", "error: vertex subset is empty\n")
+
+
+def test_negated_estar_shortcut_with_equals(gfile, capsys):
+    path = gfile(A2)
+    literal = run_json(capsys, "chi", "--graph", path, "--lprime", "a=-2/3 b=-1/3")
+    assert run_json(capsys, "chi", "--graph", path, "--lprime=-estar:a") == literal
+    # as a separate token argparse reads it as an option: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["chi", "--graph", path, "--lprime", "-estar:a"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_zmin_shortcut_and_reduce(gfile, capsys):
@@ -210,6 +225,13 @@ def test_floor_and_generic(gfile, capsys):
     payload = run_json(capsys, "generic-h1oz", "--graph", path, "--z", "2*zmin")
     assert payload["floor"] == 1
     assert payload["ceiling"] == "unknown (analytic)"
+    payload = run_json(capsys, "generic-h1oz", "--graph", path, "--z", "0")
+    assert payload["floor"] == 0 and payload["minimizer"] == {}
+    # l' outside L': the floor is printed as a "p/q" string
+    payload = run_json(
+        capsys, "floor", "--graph", gfile(A2), "--z", "a=2 b=2", "--lprime", "a=-3/2"
+    )
+    assert payload["floor"] == "1/2"
 
 
 def test_eca_and_ez(gfile, capsys):

@@ -20,6 +20,7 @@ from plumblat import (
     interval_floor_line_bundle,
     is_rational,
     natural_floor_applicable,
+    restrict_cycle,
 )
 
 from conftest import (
@@ -37,6 +38,13 @@ def test_floor_examples():
     E = Cycle.basis(a1, "v")
     assert interval_floor_line_bundle(3 * E, -E).floor == 0
     assert interval_floor_line_bundle(2 * E, Cycle.zero(a1)).floor >= 0
+    # a Chern class outside L' can give a non-integer floor
+    a2 = graph_a2()
+    report = interval_floor_line_bundle(
+        Cycle(a2, [2, 2]), Cycle(a2, [Fraction(-3, 2), 0])
+    )
+    assert report.floor == Fraction(1, 2)
+    assert report.integral is False
 
 
 def test_floor_nonnegative_and_monotone():
@@ -93,6 +101,31 @@ def test_generic_h1_oz_examples():
     assert generic_h1_oz_floor(E).floor == 0
     assert generic_h1_oz_floor(3 * E).floor == 0
     assert generic_h1_oz_floor(2 * fundamental_cycle(t237)).floor == 1
+    report = generic_h1_oz_floor(Cycle.zero(t237))
+    assert report.floor == 0 and report.minimizer is None
+
+
+def test_generic_h1_oz_minimizer_on_disconnected_support():
+    """The minimizer is E + l on each component of |Z| and 0 elsewhere,
+    and each component's part attains that component's floor."""
+    rng = random.Random(72)
+    split = 0
+    for _ in range(30):
+        g = random_tree(rng, max_n=6)
+        z = Cycle(g, [rng.choice([0, 0, 1, 2, 3]) for _ in range(g.n)])
+        if z.is_zero:
+            continue
+        report = generic_h1_oz_floor(z)
+        m = report.minimizer
+        assert m.support() == z.support()
+        assert Cycle.zero(g) <= m <= z
+        for names, floor in report.per_component:
+            part = restrict_cycle(m, names)
+            # chi(l) on the component equals chi of l pushed into g
+            assert 1 - chi(part) == floor
+        assert sum(f for _, f in report.per_component) == report.floor
+        split += len(report.per_component) > 1
+    assert split > 0
 
 
 def test_generic_h1_oz_single_vertex_reduced():
@@ -138,6 +171,14 @@ def test_eca_examples():
     assert eca_dim(E, Cycle.zero(a1)) == 0
     with pytest.raises(PreconditionFailed):
         eca_dim(E, es)
+    a2 = graph_a2()
+    es_a = estar(a2, "a")
+    # Z must dominate E
+    with pytest.raises(PreconditionFailed, match="reduced cycle"):
+        eca_dim(Cycle.basis(a2, "a"), -es_a)
+    # -E*_a / 2 is in the negative Lipman cone but (l', E) = 1/2
+    with pytest.raises(PreconditionFailed, match="not an integer"):
+        eca_dim(Cycle.ones(a2), Fraction(-1, 2) * es_a)
 
 
 def test_fiber_dim():
@@ -149,6 +190,10 @@ def test_fiber_dim():
     assert fiber_dim(E, Cycle.zero(a1), 1, 1) == 0
     with pytest.raises(PreconditionFailed):
         fiber_dim(E, -es, -1, 0)
+    with pytest.raises(PreconditionFailed, match="Lipman cone"):
+        fiber_dim(E, es, 0, 0)
+    with pytest.raises(PreconditionFailed, match="not an integer"):
+        fiber_dim(E, Fraction(-1, 3) * es, 0, 0)
 
 
 def test_generic_ez():
@@ -163,3 +208,6 @@ def test_generic_ez():
     with pytest.raises(PreconditionFailed):
         generic_ez(z, list(t237.names))
     assert ez_with_oracle(3, 1) == 2
+    for bad in ((-1, 0), (0, -1)):
+        with pytest.raises(PreconditionFailed, match="nonnegative"):
+            ez_with_oracle(*bad)

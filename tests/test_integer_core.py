@@ -1,14 +1,16 @@
 """Differential tests of the integer lattice core.
 
-The Bareiss passes, the integer pairing, chi and the shifted quadratic are
-compared with the plain Fraction formulas they replace: Gauss-Jordan
-inversion, determinants of leading submatrices, the matrix pairing, and
-Z_K by solving the adjunction equations.
+The Bareiss passes, the integer pairing, chi, the shifted quadratic and the
+integer E*-coordinates are compared with the plain Fraction formulas they
+replace: Gauss-Jordan inversion, determinants of leading submatrices, the
+matrix pairing, Z_K by solving the adjunction equations, and the dual base
+as the columns of -I^-1.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -18,7 +20,15 @@ from plumblat.chimin import (
     _shifted_quadratic,
     anticanonical_cycle,
 )
-from plumblat.cycles import estar, estar_decompose, from_estar_coeffs
+from plumblat.cycles import (
+    estar,
+    estar_decompose,
+    from_estar_coeffs,
+    in_lipman_cone,
+    in_minus_lipman_cone,
+    is_dual_lattice_member,
+    restrict_R,
+)
 
 from conftest import random_rat_cycle, random_tree
 
@@ -101,7 +111,6 @@ def test_det_adjugate_matches_fraction_inverse_on_trees():
         data = intersection_data(g)
         assert data.det == det and data.group_order == abs(det)
         assert data.adjugate == tuple(tuple(row) for row in adj)
-        assert data.inverse == tuple(tuple(row) for row in inv)
 
 
 def test_det_adjugate_with_row_exchanges_and_singular():
@@ -192,3 +201,60 @@ def test_dual_base_matches_fraction_inverse():
                 want = -sum(m[i][j] * c for j, c in enumerate(lp.coeffs))
                 assert coeffs[v] == want
             assert from_estar_coeffs(g, coeffs) == lp
+
+
+# -- the integer E*-coordinates ----------------------------------------------
+
+
+def old_estar_coords(lp):
+    """a_v = -(lp, E_v) from the matrix, as Fractions."""
+    m = lp.graph.matrix()
+    return [-sum(map(mul, row, lp.coeffs)) for row in m]
+
+
+def old_restrict_R(lp, comp_names):
+    """Component c gets sum over v in c of a_v E*^(c)_v, with E*^(c) the
+    columns of -invert(I_c) for the principal submatrix I_c of I."""
+    g = lp.graph
+    a = old_estar_coords(lp)
+    idxs = [g.index(v) for v in comp_names]
+    m = g.matrix()
+    inv_c = exactlin.invert([[m[i][j] for j in idxs] for i in idxs])
+    k = len(idxs)
+    return tuple(
+        -sum(inv_c[r][c] * a[idxs[c]] for c in range(k)) for r in range(k)
+    )
+
+
+def test_estar_layer_matches_fraction_formulas():
+    rng = random.Random(13)
+    seen = {"cone": 0, "minus_cone": 0, "in_L'": 0, "not_L'": 0, "split": 0}
+    for g in _trees(14, 80):
+        # a nonnegative combination of the E*_v lies in the Lipman cone
+        lipman = sum((rng.randint(0, 2) * estar(g, v) for v in g.names), Cycle.zero(g))
+        cycles = sample_cycles(rng, g)
+        cycles += [-c for c in cycles] + [lipman]
+        for lp in cycles:
+            a = old_estar_coords(lp)
+            cone = all(x >= 0 for x in a)
+            minus_cone = all(x <= 0 for x in a)
+            member = all(x.denominator == 1 for x in a)
+            assert in_lipman_cone(lp) == cone
+            assert in_minus_lipman_cone(lp) == minus_cone
+            assert is_dual_lattice_member(lp) == member
+            seen["cone"] += cone
+            seen["minus_cone"] += minus_cone
+            seen["in_L'"] += member
+            seen["not_L'"] += not member
+            subset = rng.sample(g.names, rng.randint(1, g.n))
+            parts = restrict_R(lp, subset)
+            covered = [v for comp, _ in parts for v in comp.names]
+            assert sorted(covered) == sorted(subset)
+            seen["split"] += len(parts) > 1
+            m = g.matrix()
+            for comp, cyc in parts:
+                idxs = [g.index(v) for v in comp.names]
+                assert comp.matrix() == [[m[i][j] for j in idxs] for i in idxs]
+                assert cyc.graph == comp
+                assert cyc.coeffs == old_restrict_R(lp, comp.names)
+    assert all(seen.values()), seen
