@@ -144,29 +144,36 @@ def _shifted_quadratic(g: PlumbingGraph, x0: Cycle):
 
 
 def _minimize_shifted(g, x0, lo, hi, budget):
+    """Scaled minimum of l -> chi(x0 + l) over the box [lo, hi]:
+    (val, d, argmin, size) with val = 2d (chi(x0 + l) - chi(x0)) at the
+    lexicographically smallest argmin l."""
     size = kernels.box_size(lo, hi)
     budget = DEFAULT_BUDGET if budget is None else budget
     if size > budget:
         raise BoxTooLarge(size, budget)
     P, q, d = _shifted_quadratic(g, x0)
     val, point = kernels.min_quadratic_box(P, q, lo, hi)
-    chi_min = chi(x0) + Fraction(val, 2 * d)
-    return chi_min, Cycle(g, point), size
+    return val, d, point, size
 
 
-def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertificate:
-    """Global minimum of l -> chi(-lp + l) over integer 0 <= l <= z."""
+def _min_box_scaled(z: Cycle, lp: Cycle, budget):
+    """:func:`min_chi_box` before the chi(-lp) shift: (val, d, argmin,
+    size) with min chi(-lp + l) = chi(-lp) + val / 2d."""
     g = z.graph
     lp._same_graph(z)
     if not (z.is_integral and z.is_effective):
         raise PreconditionFailed("z must be an effective integral cycle")
-    lo = (0,) * g.n
-    hi = z.int_coeffs()
-    chi_min, minimizer, size = _minimize_shifted(g, -lp, lo, hi, budget)
+    return _minimize_shifted(g, -lp, (0,) * g.n, z.int_coeffs(), budget)
+
+
+def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertificate:
+    """Global minimum of l -> chi(-lp + l) over integer 0 <= l <= z."""
+    val, d, point, size = _min_box_scaled(z, lp, budget)
+    g = z.graph
     return MinChiCertificate(
-        region={"type": "box", "lo": lo, "hi": hi},
-        min_value=chi_min,
-        minimizer=minimizer,
+        region={"type": "box", "lo": (0,) * g.n, "hi": z.int_coeffs()},
+        min_value=chi(-lp) + Fraction(val, 2 * d),
+        minimizer=Cycle(g, point),
         certificate=None,
         nodes=size,
     )
@@ -214,9 +221,7 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     twice = 2 * level
     radius = [exactlin.ceil_sqrt_frac(twice * s) for s in spread]
     hi = [max(x // den + r, s) for x, r, s in zip(center.nums, radius, l0)]
-    chi_min, minimizer, size = _minimize_shifted(
-        g, Cycle.zero(g), c_int, tuple(hi), budget
-    )
+    val, d, point, size = _minimize_shifted(g, Cycle.zero(g), c_int, tuple(hi), budget)
     cert = {
         "continuous_minimizer": center,
         "level_bound": level,
@@ -228,8 +233,8 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     }
     return MinChiCertificate(
         region={"type": "lower_bound", "lo": c_int},
-        min_value=chi_min,
-        minimizer=minimizer,
+        min_value=Fraction(val, 2 * d),  # chi(0) = 0
+        minimizer=Cycle(g, point),
         certificate=cert,
         nodes=size,
     )

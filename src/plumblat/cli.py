@@ -406,8 +406,25 @@ def _run(args) -> dict:
     raise UsageError(f"unknown command {cmd!r}")
 
 
+# Options whose value is a cycle, which may start with '-' ('-estar:v').
+_CYCLE_OPTIONS = ("--lprime", "--z", "--z1", "--box", "--lower", "--cycle", "--a", "--b")
+
+
+def _attach_cycle_values(argv):
+    """Join '--lprime -estar:v' into '--lprime=-estar:v': argparse reads a
+    separate value that starts with a single '-' as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _CYCLE_OPTIONS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_cycle_values(argv))
     try:
         payload = _run(args)
     except BoxTooLarge as exc:

@@ -21,12 +21,7 @@ from .cycles import (
     restrict_R,
     restrict_cycle,
 )
-from .chimin import (
-    MinChiCertificate,
-    chi,
-    min_chi_box,
-    min_chi_lower_bounded,
-)
+from .chimin import _min_box_scaled, min_chi_box, min_chi_lower_bounded
 
 CEILING = "unknown (analytic)"
 
@@ -60,26 +55,26 @@ def interval_floor_line_bundle(
     the Chern class pushed through the cohomological restriction); their
     sum equals the global floor exactly.
     """
-    cert = min_chi_box(z, lp, budget)
-    floor = chi(-lp) - cert.min_value
+    # chi(-l') - min chi(-l' + l) is -val / 2d in the kernel's scaling
+    val, d, point, size = _min_box_scaled(z, lp, budget)
+    floor = Fraction(-val, 2 * d)
     comps = ()
     supp = z.support()
     if supp and len(components(z.graph, map(z.graph.index, supp))) > 1:
         entries = []
         for comp, lp_c in restrict_R(lp, supp):
-            z_c = _component_cycle(comp, z)
-            sub = min_chi_box(z_c, lp_c, budget)
-            entries.append((comp.names, chi(-lp_c) - sub.min_value))
+            val_c, d_c, _, _ = _min_box_scaled(_component_cycle(comp, z), lp_c, budget)
+            entries.append((comp.names, Fraction(-val_c, 2 * d_c)))
         comps = tuple(entries)
         if sum(f for _, f in comps) != floor:
             raise InternalError("component floors do not sum to the global floor")
     return IntervalFloorReport(
         floor=floor,
-        minimizer=cert.minimizer,
+        minimizer=Cycle(z.graph, point),
         integral=is_dual_lattice_member(lp),
         applicable=None,
         per_component=comps,
-        nodes=cert.nodes,
+        nodes=size,
     )
 
 

@@ -140,9 +140,31 @@ def test_negated_estar_shortcut_with_equals(gfile, capsys):
     path = gfile(A2)
     literal = run_json(capsys, "chi", "--graph", path, "--lprime", "a=-2/3 b=-1/3")
     assert run_json(capsys, "chi", "--graph", path, "--lprime=-estar:a") == literal
-    # as a separate token argparse reads it as an option: a usage error
+
+
+def test_negated_estar_shortcut_as_its_own_token(gfile, capsys):
+    """A cycle value that starts with '-' may follow its option as a
+    separate token; '--' still starts the next option."""
+    path = gfile(A2)
+    literal = run_json(capsys, "chi", "--graph", path, "--lprime=-estar:a")
+    assert run_json(capsys, "chi", "--graph", path, "--lprime", "-estar:a") == literal
+    assert run_json(
+        capsys, "floor", "--graph", path, "--z", "zmin", "--lprime", "-estar:b"
+    ) == run_json(capsys, "floor", "--graph", path, "--z", "zmin", "--lprime=-estar:b")
+    # every cycle-valued option reads the token as its '=' form would
+    for argv in (
+        ("pairing", "--a", "a=1", "--b"),
+        ("floor", "--lprime", "0", "--z"),
+        ("reldom", "--z", "zmin", "--lprime", "0", "--oracle", "zero", "--z1"),
+    ):
+        *head, option = argv
+        assert run(capsys, *head, "--graph", path, option, "-2*zmin") == run(
+            capsys, *head, "--graph", path, f"{option}=-2*zmin"
+        )
+    code, out, err = run(capsys, "chi", "--graph", path, "--lprime", "-nope:a")
+    assert (code, out) == (2, "")
     with pytest.raises(SystemExit) as exc:
-        main(["chi", "--graph", path, "--lprime", "-estar:a"])
+        main(["chi", "--graph", path, "--lprime", "--json"])
     assert exc.value.code == 2
     assert "expected one argument" in capsys.readouterr().err
 

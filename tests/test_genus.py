@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -69,6 +71,27 @@ def test_floor_per_component_breakdown():
     report = interval_floor_line_bundle(z, lp)
     assert len(report.per_component) == 2
     assert sum(f for _, f in report.per_component) == report.floor
+
+
+def test_e8_floor_on_the_14m_point_box():
+    """E8 with Z = 2 Z_min and l' = -E*_v: a 14,189,175-point box, solved
+    by the enumerator along a few root-to-leaf paths; floors and
+    minimizers match the benchmark's reference, and ``nodes`` is still the
+    certified box size."""
+    ref_path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "plumbench", "reference", "bigbox_floor.json",
+    )
+    with open(ref_path) as fh:
+        reference = json.load(fh)
+    g = graph_e8()  # the benchmark's E8: vertex i here is v{i+1}
+    z = 2 * fundamental_cycle(g)
+    for i, v in enumerate(g.names):
+        report = interval_floor_line_bundle(z, -estar(g, v))
+        want = reference[f"e8x2:v{i}"]
+        assert str(report.floor) == want["floor"]
+        assert [str(c) for c in report.minimizer.coeffs] == want["minimizer"]
+        assert report.nodes == 14_189_175
 
 
 def test_natural_floor_applicable():
