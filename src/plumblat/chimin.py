@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from operator import mul
 
 from .errors import BoxTooLarge, InternalError, PreconditionFailed
 from .graph import PlumbingGraph, intersection_data
 from .cycles import Cycle
-from . import exactlin, kernels
+from . import kernels
 
 DEFAULT_BUDGET = 10**8
 
@@ -143,15 +143,24 @@ def _shifted_quadratic(g: PlumbingGraph, x0: Cycle):
     return P, q, d
 
 
-def _minimize_shifted(g, x0, lo, hi, budget):
-    """Scaled minimum of l -> chi(x0 + l) over the box [lo, hi]:
-    (val, d, argmin, size) with val = 2d (chi(x0 + l) - chi(x0)) at the
-    lexicographically smallest argmin l."""
+def _search_setup(g, x0, lo, hi, budget):
+    """The budget gate of every certified search of l -> chi(x0 + l) over
+    the box [lo, hi]: raises BoxTooLarge when the box has more points
+    than the budget (DEFAULT_BUDGET when None), else returns
+    (P, q, d, size) with (P, q, d) from :func:`_shifted_quadratic`."""
     size = kernels.box_size(lo, hi)
     budget = DEFAULT_BUDGET if budget is None else budget
     if size > budget:
         raise BoxTooLarge(size, budget)
     P, q, d = _shifted_quadratic(g, x0)
+    return P, q, d, size
+
+
+def _minimize_shifted(g, x0, lo, hi, budget):
+    """Scaled minimum of l -> chi(x0 + l) over the box [lo, hi]:
+    (val, d, argmin, size) with val = 2d (chi(x0 + l) - chi(x0)) at the
+    lexicographically smallest argmin l."""
+    P, q, d, size = _search_setup(g, x0, lo, hi, budget)
     val, point = kernels.min_quadratic_box(P, q, lo, hi)
     return val, d, point, size
 
@@ -179,21 +188,9 @@ def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertifi
     )
 
 
-@lru_cache(maxsize=None)
-def _lower_bound_data(g: PlumbingGraph):
-    """Per-graph data of the lower-bounded searches: the continuous
-    minimizer Z_K/2, chi(Z_K/2) = (Z_K, Z_K)/8, and the diagonal of
-    -I^-1 = -adj / det, which scales the level-set radii."""
-    data = intersection_data(g)
-    zk = anticanonical_cycle(g)
-    # (Z_K, Z_K) = sum_v (Z_K)_v (e_v + 2) by adjunction
-    chi_center = Fraction(
-        sum(z * (e + 2) for z, e in zip(zk.nums, g.euler)), 8 * zk.den
-    )
-    spread = tuple(
-        Fraction(-data.adjugate[v][v], data.det) for v in range(g.n)
-    )
-    return Cycle.from_nums(g, 2 * zk.den, zk.nums), chi_center, spread
+def _ceil_sqrt(n: int) -> int:
+    """Smallest m >= 0 with m * m >= n, for an integer n >= 0."""
+    return 0 if n <= 0 else isqrt(n - 1) + 1
 
 
 def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertificate:
@@ -206,30 +203,40 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     l0 = max(c, ceil(Z_K/2)) the per-coordinate extent of the level set
     {chi <= chi(l0)} is bounded exactly with integer square roots, giving
     a finite box that provably contains every possible improvement.
+
+    With Z_K = k / den, the box is set up on integers: by adjunction
+    chi(Z_K/2) = sum_v k_v (e_v + 2) / (8 den), so the level
+    L = 8 den (chi(l0) - chi(Z_K/2)) is an integer, and on the level set
+    |l_v - (Z_K/2)_v|^2 <= L (-adj_vv) / (4 den det), whose ceiling square
+    root is the ceiling square root of its ceiling.
     """
     g = c.graph
     if not (c.is_integral and c.is_effective):
         raise PreconditionFailed("lower bound must be an effective integral cycle")
-    center, chi_center, spread = _lower_bound_data(g)
-    den = center.den
+    data = intersection_data(g)
+    zk = anticanonical_cycle(g)
+    den, k = zk.den, zk.nums
     c_int = c.int_coeffs()
-    l0 = [max(ci, -(-x // den)) for ci, x in zip(c_int, center.nums)]
-    start = Cycle(g, l0)
-    best = chi(start)
-    level = best - chi_center  # >= 0 by convexity
-    # |x_v - (Z_K/2)_v| <= sqrt(2 * level * ((-I)^-1)_vv) on the level set
-    twice = 2 * level
-    radius = [exactlin.ceil_sqrt_frac(twice * s) for s in spread]
-    hi = [max(x // den + r, s) for x, r, s in zip(center.nums, radius, l0)]
-    val, d, point, size = _minimize_shifted(g, Cycle.zero(g), c_int, tuple(hi), budget)
+    l0 = [max(ci, -(-x // (2 * den))) for ci, x in zip(c_int, k)]
+    # 2 chi(l0) = lin - quad, as in chi; level is L
+    lin = sum(x * (e + 2) for x, e in zip(l0, g.euler))
+    quad = sum(map(mul, l0, g.intersect(l0)))
+    level = 4 * den * (lin - quad) - sum(x * (e + 2) for x, e in zip(k, g.euler))
+    # radius_v = ceil sqrt of ceil(L (-adj_vv) / (4 den det))
+    scale = 4 * den * data.det
+    radius = tuple(
+        _ceil_sqrt(-(level * data.adjugate[v][v] // scale)) for v in range(g.n)
+    )
+    hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
+    val, d, point, size = _minimize_shifted(g, Cycle.zero(g), c_int, hi, budget)
     cert = {
-        "continuous_minimizer": center,
-        "level_bound": level,
-        "radius": tuple(radius),
-        "feasible_start": start,
-        "start_value": best,
+        "continuous_minimizer": Cycle.from_nums(g, 2 * den, k),
+        "level_bound": Fraction(level, 8 * den),
+        "radius": radius,
+        "feasible_start": Cycle(g, l0),
+        "start_value": Fraction(lin - quad, 2),
         "box_lo": c_int,
-        "box_hi": tuple(hi),
+        "box_hi": hi,
     }
     return MinChiCertificate(
         region={"type": "lower_bound", "lo": c_int},
@@ -253,10 +260,10 @@ def is_rational(g: PlumbingGraph, budget: int | None = None) -> bool:
         for v in g.names
     )
     by_min = artin_min >= 1
-    by_zmin = chi(fundamental_cycle(g)) == 1
-    if by_min != by_zmin:
+    chi_zmin = chi(fundamental_cycle(g))
+    if by_min != (chi_zmin == 1):
         raise InternalError(
             "rationality cross-check disagreement: "
-            f"min chi = {artin_min}, chi(Z_min) = {chi(fundamental_cycle(g))}"
+            f"min chi = {artin_min}, chi(Z_min) = {chi_zmin}"
         )
     return by_min

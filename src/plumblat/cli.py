@@ -189,6 +189,8 @@ def _rel_payload(report):
 
 def _surgery_result(g, args):
     if args.edge:
+        if "," not in args.edge:
+            raise UsageError(f"--edge takes 'u,w', got {args.edge!r}")
         u, w = args.edge.split(",", 1)
         return blowup_edge_chain(g, u.strip(), w.strip(), args.times)
     if not args.at:
@@ -285,7 +287,12 @@ def _budget(args):
     if args.budget is not None:
         return args.budget
     env = os.environ.get("PLUMBLAT_BUDGET")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"PLUMBLAT_BUDGET must be an integer, got {env!r}") from None
 
 
 def _run(args) -> dict:

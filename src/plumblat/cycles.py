@@ -326,7 +326,11 @@ def parse_cycle(g: PlumbingGraph, text: str) -> Cycle:
         m = _PAIR_RE.match(tok)
         if not m:
             raise GraphSyntaxError(f"bad cycle term {tok!r}")
-        name, val = m.group(1), Fraction(m.group(2))
+        name = m.group(1)
+        try:
+            val = Fraction(m.group(2))
+        except ZeroDivisionError:
+            raise GraphSyntaxError(f"zero denominator in cycle term {tok!r}") from None
         if name not in g._index:
             raise UnknownVertex(f"unknown vertex {name!r} in cycle literal")
         if name in seen:

@@ -14,7 +14,9 @@ no Fraction inverse.  Every cycle in the dual lattice has a denominator
 dividing ``|det|``.
 
 ``mat_mul`` composes the pullback matrices of blow-up chains.  The
-Fraction and per-minor routines below (``invert``, ``solve``,
+certified searches take nothing else from this module: ``chimin`` and
+``kernels`` set them up in integers, square roots by ``math.isqrt``.
+The Fraction and per-minor routines below (``invert``, ``solve``,
 ``mat_vec``, ``identity``, ``leading_minors`` and ``det_bareiss``) have
 no caller in the library; they are the independent references the tests
 compare against, and the benchmark's tracer (``plumbench/spans.py``)
@@ -23,7 +25,6 @@ package.
 """
 
 from fractions import Fraction
-from math import isqrt
 from operator import mul
 
 
@@ -174,14 +175,3 @@ def leading_minors(m):
     return [
         det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)
     ]
-
-
-def ceil_sqrt_frac(x):
-    """Smallest integer m >= 0 with m*m >= x, for a nonnegative rational x."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    p, q = x.numerator, x.denominator
-    m = isqrt(p // q)
-    while m * m * q < p:
-        m += 1
-    return m

@@ -8,7 +8,7 @@ never computed; reports carry an explicit "unknown (analytic)" marker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionFailed
@@ -149,15 +149,7 @@ def generic_natural_h1(
     applicability diagnostics attached."""
     base = interval_floor_line_bundle(z, lp, budget)
     ok, diag = natural_floor_applicable(z, lp)
-    return IntervalFloorReport(
-        floor=base.floor,
-        minimizer=base.minimizer,
-        integral=base.integral,
-        applicable=ok,
-        per_component=base.per_component,
-        diagnostics=diag,
-        nodes=base.nodes,
-    )
+    return replace(base, applicable=ok, diagnostics=diag)
 
 
 # -- effective Cauchy data dimensions -------------------------------------

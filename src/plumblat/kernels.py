@@ -4,9 +4,9 @@ integers.
 The objective is f(l) = l^T P l + q . l with P symmetric positive
 definite over the integer box [lo, hi].  One depth-first enumerator
 (Fincke-Pohst branch and bound) serves every caller.  It fixes the
-coordinates in ``iter_box`` order, l_0 first.  With l_0..l_{k-1} fixed,
-let g_k be the minimum of f over real values of the remaining
-coordinates; then
+coordinates in lexicographic order, l_0 first and the last coordinate
+fastest.  With l_0..l_{k-1} fixed, let g_k be the minimum of f over real
+values of the remaining coordinates; then
 
     g_{k+1} = g_k + D_k (l_k - mu_k)^2,   D_k = Delta_k / Delta_{k+1},
 
@@ -19,7 +19,8 @@ runs l_k upward over the integer interval where g_{k+1} <= bound
 bound, so only the root-to-leaf paths that still can are visited.
 
 ``box_values`` yields the (point, value) pairs with value <= bound in
-``iter_box`` order, or every box point when the bound is None.
+lexicographic order, last coordinate fastest, or every box point when
+the bound is None.
 ``min_quadratic_box`` runs the same walk from the value of a feasible
 point (at each depth the integer nearest mu_k, clamped to the box) and
 lowers the bound below every value it reaches, so the last point it
@@ -122,11 +123,11 @@ class _Walk:
         return g // 4
 
     def points(self, bound, shrink=False):
-        """(point, value) pairs with value <= bound in ``iter_box`` order
-        (every box point when bound is None).  With ``shrink`` the bound
-        drops to one below each value yielded, so the values strictly
-        decrease and the last pair is the lexicographically smallest
-        argmin."""
+        """(point, value) pairs with value <= bound in lexicographic order,
+        last coordinate fastest (every box point when bound is None).
+        With ``shrink`` the bound drops to one below each value yielded,
+        so the values strictly decrease and the last pair is the
+        lexicographically smallest argmin."""
         lo, hi, delta, coeffs, const = self.lo, self.hi, self.delta, self.coeffs, self.const
         n = len(lo)
         x = [0] * n
@@ -199,24 +200,7 @@ def min_quadratic_box(P, q, lo, hi):
 
 def box_values(P, q, lo, hi, bound=None):
     """(point, value) pairs of l^T P l + q.l over the box, streamed in
-    ``iter_box`` order; the box is checked at the call.  With ``bound``,
-    only the pairs whose value is at most ``bound`` are yielded."""
+    lexicographic order, last coordinate fastest; the box is checked at
+    the call.  With ``bound``, only the pairs whose value is at most
+    ``bound`` are yielded."""
     return _Walk(P, q, lo, hi).points(bound)
-
-
-def iter_box(lo, hi):
-    """Integer points of the box in lexicographic order, last coordinate
-    fastest; a box of dimension 0 yields ``()`` once."""
-    n = len(lo)
-    point = list(lo)
-    while True:
-        yield tuple(point)
-        k = n - 1
-        while k >= 0:
-            if point[k] < hi[k]:
-                point[k] += 1
-                break
-            point[k] = lo[k]
-            k -= 1
-        if k < 0:
-            return

@@ -18,12 +18,12 @@ give the certified box size as ``nodes`` in both cases.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
-    BoxTooLarge,
     GraphSyntaxError,
     HypothesisFailed,
     OracleIncomplete,
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .cycles import Cycle, _estar_nums, _from_estar_nums, parse_cycle
-from .chimin import DEFAULT_BUDGET, _shifted_quadratic
+from .chimin import _search_setup
 from .genus import fiber_dim, interval_floor_line_bundle
 from .graph import subgraph
 from . import kernels
@@ -62,9 +62,9 @@ class H1Oracle:
         raise NotImplementedError
 
     def walk(self, budget):
-        """Context of one box walk, with the request's node budget; an
-        oracle may keep scratch state in it, dropped when the walk ends.
-        An oracle serves one walk at a time."""
+        """Context of one box walk, with the request's node budget (None
+        for the default); an oracle may keep scratch state in it, dropped
+        when the walk ends.  An oracle serves one walk at a time."""
         return nullcontext()
 
 
@@ -86,11 +86,10 @@ class TableOracle(H1Oracle):
     def __init__(self, z, z1, table):
         super().__init__(z, z1)
         self.table = {tuple(int(c) for c in k): int(v) for k, v in table.items()}
-        lo = (0,) * z.graph.n
         hi = z.int_coeffs()
         z1c = z1.int_coeffs()
         self.bound = 0
-        for point in kernels.iter_box(lo, hi):
+        for point in itertools.product(*(range(h + 1) for h in hi)):
             if point not in self.table:
                 raise OracleIncomplete(
                     f"oracle table is missing the box point {point}"
@@ -266,11 +265,7 @@ def _evaluate(z, z1, lp, oracle, budget):
     g = z.graph
     lo = (0,) * g.n
     hi = z.int_coeffs()
-    size = kernels.box_size(lo, hi)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if size > budget:
-        raise BoxTooLarge(size, budget)
-    P, q, d = _shifted_quadratic(g, -lp)
+    P, q, d, size = _search_setup(g, -lp, lo, hi, budget)
     scale = 2 * d
     limit = None
     if oracle.bound is not None:
@@ -341,11 +336,4 @@ def relgen1_nonempty(z, z1, lp, oracle, budget=None):
     diag = dict(report.diagnostics)
     diag["hypothesis_checked_on"] = tuple(v2)
     diag["note"] = "vertices outside |Z| are not constrained by the check"
-    return RelReport(
-        dominant=report.dominant,
-        witness=report.witness,
-        rel_h1=report.rel_h1,
-        argmin=report.argmin,
-        nodes=report.nodes,
-        diagnostics=diag,
-    )
+    return replace(report, diagnostics=diag)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import plumblat
 from plumblat.cli import main
 
 A1 = "vertex v -2\n"
@@ -474,3 +478,43 @@ def test_zk_and_rational(gfile, capsys):
     assert run_json(capsys, "rational", "--graph", chain) == {"rational": True}
     assert run_json(capsys, "rational", "--graph", t237) == {"rational": False}
     assert run(capsys, "rational", "--graph", t237) == (0, "rational: false\n", "")
+
+
+def test_zero_denominator_exits_2(gfile, capsys, tmp_path):
+    path = gfile(A2)
+    code, out, err = run(capsys, "chi", "--graph", path, "--lprime", "a=1/0")
+    assert (code, out) == (2, "")
+    assert "zero denominator in cycle term 'a=1/0'" in err
+    oracle = tmp_path / "oracle.txt"
+    oracle.write_text("oracle z=a=1 z1=a=1\n0 -> 0\na=1/0 -> 0\n")
+    code, out, err = run(
+        capsys, "relh1", "--graph", path, "--z", "a=1", "--z1", "a=1",
+        "--lprime", "0", "--oracle", str(oracle),
+    )
+    assert (code, out) == (2, "")
+    assert "zero denominator" in err
+
+
+def test_edge_without_comma_exits_2(gfile, capsys):
+    path = gfile(A2)
+    for argv in (("blowup",), ("pullback", "--cycle", "a=1")):
+        code, out, err = run(capsys, *argv, "--graph", path, "--edge", "a")
+        assert (code, out) == (2, "")
+        assert "--edge takes 'u,w', got 'a'" in err
+
+
+def test_non_integer_budget_env_exits_2(gfile, capsys, monkeypatch):
+    monkeypatch.setenv("PLUMBLAT_BUDGET", "1e6")
+    code, out, err = run(capsys, "rational", "--graph", gfile(A2))
+    assert (code, out) == (2, "")
+    assert "PLUMBLAT_BUDGET must be an integer, got '1e6'" in err
+
+
+def test_python_m_version():
+    src = os.path.dirname(os.path.dirname(plumblat.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "plumblat", "--version"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "plumblat 0.1.0\n")

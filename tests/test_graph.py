@@ -68,6 +68,12 @@ def test_not_a_tree():
             [("a", -3), ("b", -3), ("c", -3)],
             [("a", "b"), ("b", "c"), ("c", "a")],
         )
+    # n - 1 edges, but a triangle and an isolated vertex
+    with pytest.raises(ValidationError, match="disconnected"):
+        PlumbingGraph(
+            [("a", -3), ("b", -3), ("c", -3), ("d", -2)],
+            [("a", "b"), ("b", "c"), ("c", "a")],
+        )
 
 
 def test_e8_unimodular():

@@ -1,24 +1,25 @@
 """Differential tests of the integer lattice core.
 
-The Bareiss passes, the integer pairing, chi, the shifted quadratic and the
-integer E*-coordinates are compared with the plain Fraction formulas they
-replace: Gauss-Jordan inversion, determinants of leading submatrices, the
-matrix pairing, Z_K by solving the adjunction equations, and the dual base
-as the columns of -I^-1.
+The Bareiss passes, the integer pairing, chi, the shifted quadratic, the
+lower-bounded search box and the integer E*-coordinates are compared with
+the plain Fraction formulas they replace: Gauss-Jordan inversion,
+determinants of leading submatrices, the matrix pairing, Z_K by solving the
+adjunction equations, level and radii of the box in Fractions, and the dual
+base as the columns of -I^-1.
 """
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 
 import pytest
 
 from plumblat import Cycle, chi, exactlin, intersection_data, pairing
 from plumblat.chimin import (
-    _lower_bound_data,
     _shifted_quadratic,
     anticanonical_cycle,
+    min_chi_lower_bounded,
 )
 from plumblat.cycles import (
     estar,
@@ -30,7 +31,7 @@ from plumblat.cycles import (
     restrict_R,
 )
 
-from conftest import random_rat_cycle, random_tree
+from conftest import corpus, random_rat_cycle, random_tree
 
 
 def _trees(seed, count, max_n=7):
@@ -178,14 +179,71 @@ def test_shifted_quadratic_matches_fraction_formula():
             assert 2 * d * (old_chi(x0 + Cycle(g, l)) - old_chi(x0)) == val
 
 
-def test_lower_bound_data_matches_fraction_formulas():
-    for g in _trees(10, 60):
-        center, chi_center, spread = _lower_bound_data(g)
-        zk = old_zk(g)
-        assert center == Cycle(g, [z / 2 for z in zk.coeffs])
-        assert chi_center == old_chi(center)
-        inv = exactlin.invert(g.matrix())
-        assert spread == tuple(-inv[v][v] for v in range(g.n))
+def old_ceil_sqrt(x):
+    """Smallest integer m >= 0 with m*m >= x, for a nonnegative Fraction x."""
+    p, q = x.numerator, x.denominator
+    m = isqrt(p // q)
+    while m * m * q < p:
+        m += 1
+    return m
+
+
+def old_lower_bounded_certificates(g):
+    """The certificates of the searches over l >= E_v (each v) and l >= E
+    by the Fraction formulas: centre Z_K/2, level chi(l0) - chi(Z_K/2)
+    from the feasible start l0 = max(c, ceil(Z_K/2)), radii
+    ceil(sqrt(2 level (-I^-1)_vv)) and box_hi = max(floor(Z_K/2) + r, l0)."""
+    m = g.matrix()
+    # I^-1 as Fractions from the adjugate, which
+    # test_det_adjugate_matches_fraction_inverse_on_trees checks
+    data = intersection_data(g)
+    inv = [[Fraction(a, data.det) for a in row] for row in data.adjugate]
+    zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
+
+    def frac_chi(x):
+        """-(x, x - Z_K) / 2"""
+        mx = exactlin.mat_vec(m, x)
+        return (sum(map(mul, mx, zk)) - sum(map(mul, mx, x))) / Fraction(2)
+
+    center = [z / 2 for z in zk]
+    chi_center = frac_chi(center)
+    out = []
+    for c in [Cycle.basis(g, v) for v in g.names] + [Cycle.ones(g)]:
+        lo = tuple(int(x) for x in c.coeffs)
+        l0 = [max(ci, ceil(x)) for ci, x in zip(lo, center)]
+        start_value = frac_chi(l0)
+        level = start_value - chi_center
+        radius = tuple(old_ceil_sqrt(2 * level * -inv[v][v]) for v in range(g.n))
+        hi = tuple(max(floor(x) + r, s) for x, r, s in zip(center, radius, l0))
+        out.append((c, {
+            "continuous_minimizer": Cycle(g, center),
+            "level_bound": level,
+            "radius": radius,
+            "feasible_start": Cycle(g, l0),
+            "start_value": start_value,
+            "box_lo": lo,
+            "box_hi": hi,
+        }))
+    return out
+
+
+def test_lower_bounded_certificate_matches_fraction_formulas():
+    """The integer set-up of min_chi_lower_bounded gives the certificate of
+    the Fraction formulas on every corpus tree and on random trees with
+    Euler numbers down to -200."""
+    rng = random.Random(10)
+    trees = corpus() + [
+        random_tree(rng, max_n=7, euler_range=(-200, -1)) for _ in range(40)
+    ]
+    assert max(max(map(abs, g.euler)) for g in trees[-40:]) > 100
+    for g in trees:
+        for c, want in old_lower_bounded_certificates(g):
+            cert = min_chi_lower_bounded(c)
+            assert cert.certificate == want
+            assert cert.region == {"type": "lower_bound", "lo": want["box_lo"]}
+            assert cert.nodes == prod(
+                b - a + 1 for a, b in zip(want["box_lo"], want["box_hi"])
+            )
 
 
 def test_dual_base_matches_fraction_inverse():

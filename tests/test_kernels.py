@@ -7,7 +7,7 @@ import pytest
 from plumblat import kernels
 from plumblat.chimin import _shifted_quadratic
 from plumblat.cycles import Cycle
-from plumblat.kernels import box_size, box_values, iter_box
+from plumblat.kernels import box_values
 
 from conftest import corpus, random_tree
 
@@ -27,6 +27,12 @@ def random_instance(rng, n, span=4, weight=6):
     return P, q, lo, hi
 
 
+def box_points(lo, hi):
+    """The box in lexicographic order, last coordinate fastest: the order
+    the enumerator walks."""
+    return list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))))
+
+
 def brute(P, q, lo, hi):
     n = len(lo)
 
@@ -35,7 +41,7 @@ def brute(P, q, lo, hi):
             P[i][j] * p[i] * p[j] for i in range(n) for j in range(n)
         ) + sum(q[i] * p[i] for i in range(n))
 
-    pts = list(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
+    pts = box_points(lo, hi)
     vals = [f(p) for p in pts]
     m = min(vals)
     arg = min(p for p, v in zip(pts, vals) if v == m)
@@ -50,7 +56,7 @@ def test_pure_matches_brute_force():
         got_m, got_arg = kernels.min_quadratic_box(P, q, lo, hi)
         assert (got_m, got_arg) == (m, arg)
         pairs = list(kernels.box_values(P, q, lo, hi))
-        assert [p for p, _ in pairs] == list(iter_box(lo, hi))
+        assert [p for p, _ in pairs] == box_points(lo, hi)
         assert [v for _, v in pairs] == vals
 
 
@@ -66,14 +72,14 @@ def test_large_magnitudes_stay_exact():
     m, arg = kernels.min_quadratic_box(P, [-2 * big], [0], [2 * big])
     assert arg == (big,)
     assert m == -big * big
-    # two coordinates: the outer one is walked, the last solved in closed form
+    # two coordinates, both near 10^12
     P2 = [[2, 1], [1, 2]]
     q2 = [-6 * big, -6 * big]
     lo, hi = [big - 1, big - 2], [big + 1, big + 2]
     m, arg, vals = brute(P2, q2, lo, hi)
     assert (m, arg) == (-6 * big * big, (big, big))
     assert kernels.min_quadratic_box(P2, q2, lo, hi) == (m, arg)
-    assert list(box_values(P2, q2, lo, hi)) == list(zip(iter_box(lo, hi), vals))
+    assert list(box_values(P2, q2, lo, hi)) == list(zip(box_points(lo, hi), vals))
 
 
 def test_bounded_box_values_match_filtered_walk():
@@ -106,14 +112,6 @@ def test_bounded_box_values_match_filtered_walk():
 
 def test_backend_name():
     assert kernels.backend_name() == "python"
-
-
-def test_iter_box_order_and_size():
-    lo, hi = [0, -1], [2, 1]
-    pts = list(iter_box(lo, hi))
-    assert pts == sorted(pts)
-    assert len(pts) == box_size(lo, hi) == 9
-    assert pts[0] == (0, -1) and pts[-1] == (2, 1)
 
 
 def test_argmin_is_lexicographically_smallest_on_flat_objective():
@@ -191,7 +189,7 @@ def check_against_brute(P, q, lo, hi, rng):
     m, arg, vals = brute(P, q, lo, hi)
     assert kernels.min_quadratic_box(P, q, lo, hi) == (m, arg)
     full = list(box_values(P, q, lo, hi))
-    assert full == list(zip(iter_box(lo, hi), vals))
+    assert full == list(zip(box_points(lo, hi), vals))
     values = sorted(set(vals))
     bounds = {values[0] - 1}
     for v in rng.sample(values, min(3, len(values))) + [values[0], values[-1]]:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from plumblat import (
     Cycle,
     GraphMismatch,
+    GraphSyntaxError,
     estar,
     estar_decompose,
     in_lipman_cone,
@@ -186,6 +187,20 @@ def test_cycle_literal_roundtrip():
     for text in ("a=1 b=2/3", "b=-1/2", "0"):
         z = parse_cycle(a2, text)
         assert parse_cycle(a2, format_cycle(z)) == z
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("a=1 a=2", "duplicate vertex 'a'"),
+        ("a=1/0", "zero denominator"),
+        ("b=2 a=-3/0", "zero denominator"),
+        ("a=x", "bad cycle term"),
+    ],
+)
+def test_cycle_literal_errors(text, message):
+    with pytest.raises(GraphSyntaxError, match=message):
+        parse_cycle(graph_a2(), text)
 
 
 def in_lowest_terms(z):

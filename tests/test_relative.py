@@ -189,6 +189,8 @@ def test_table_oracle_totality_enforced():
     z = Cycle.ones(a2)
     with pytest.raises(OracleIncomplete):
         TableOracle(z, z, {(0, 0): 0})
+    with pytest.raises(ValidationError, match="negative oracle value at \\(0, 0\\)"):
+        TableOracle(z, z, box_table(z, lambda pt: -1 if not any(pt) else 0))
     # empty fixed part must map to zero
     with pytest.raises(ValidationError):
         TableOracle(z, z, box_table(z, lambda pt: 1))
@@ -289,7 +291,8 @@ def test_nested_oracle_searches_get_the_request_budget(monkeypatch):
     assert budgets and set(budgets) == {12345}
     budgets.clear()
     relgen_h1(z, zmin, lp, GenericNaturalOracle(z, zmin, lp))
-    assert budgets and set(budgets) == {relative.DEFAULT_BUDGET}
+    # no budget: each nested search applies the default budget itself
+    assert budgets and set(budgets) == {None}
 
 
 def test_all_zero_table_reports_like_zero_oracle():

@@ -79,6 +79,14 @@ def test_blowup_chain_two_steps():
     assert [d for _, d in b.new_vertices] == [1, 2]
 
 
+def test_chain_length_must_be_positive():
+    a2 = graph_a2()
+    with pytest.raises(PreconditionFailed, match="chain length"):
+        blowup_chain(a2, "a", 0)
+    with pytest.raises(PreconditionFailed, match="chain length"):
+        blowup_edge_chain(a2, "a", "b", 0)
+
+
 def test_pairing_preservation_random():
     rng = random.Random(101)
     for _ in range(30):
