@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
 from .errors import BoxTooLarge, InternalError, PreconditionFailed
 from .graph import PlumbingGraph, intersection_data
-from .cycles import Cycle
+from .cycles import Cycle, _estar_nums
 from . import kernels
 
 DEFAULT_BUDGET = 10**8
@@ -27,16 +26,12 @@ DEFAULT_BUDGET = 10**8
 # -- anticanonical cycle and chi ------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def anticanonical_cycle(g: PlumbingGraph) -> Cycle:
     """The rational cycle solving the adjunction equations
     (-Z_K + E_v, E_v) + 2 = 0, i.e. (Z_K, E_v) = E_v^2 + 2 for all v,
-    so Z_K = I^-1 (e + 2) = adj (e + 2) / det."""
+    so Z_K = I^-1 (e + 2); kept with the graph's lattice data."""
     data = intersection_data(g)
-    k = [e + 2 for e in g.euler]
-    return Cycle.from_nums(
-        g, data.det, [sum(map(mul, row, k)) for row in data.adjugate]
-    )
+    return Cycle.from_nums(g, data.group_order, data.zk_nums)
 
 
 def chi(lp: Cycle) -> Fraction:
@@ -126,61 +121,57 @@ class MinChiCertificate:
     nodes: int
 
 
-def _shifted_quadratic(g: PlumbingGraph, x0: Cycle):
-    """Integer data (P, q, D) with 2*D*(chi(x0 + l) - chi(x0)) = l^T P l + q.l.
+def _shifted_quadratic(g: PlumbingGraph, den: int, ix, idxs):
+    """Integer data (P, q, D) with 2*D*(chi(x0 + l) - chi(x0)) = l^T P l + q.l
+    for l on the coordinates ``idxs``, where x0 = x / den and ix = I x.
 
     The linear part is w = I (Z_K - 2 x0) = (e + 2) - 2 I x0 by
-    adjunction; with x0 = x / den it is W / den for integer W, and D is
-    the least common denominator of w in lowest terms.
+    adjunction; on ``idxs`` it is W / den for integer W, D is the least
+    common denominator of w[idxs] in lowest terms, and P is -D times the
+    principal submatrix on ``idxs``.
     """
     m = intersection_data(g).matrix
-    den, x = x0.den, x0.nums
-    w = [den * (e + 2) - 2 * y for e, y in zip(g.euler, g.intersect(x))]
+    w = [den * (g.euler[i] + 2) - 2 * ix[i] for i in idxs]
     common = gcd(den, *w)
     d = den // common
-    P = [[-v * d for v in row] for row in m]
+    P = [[-d * row[j] for j in idxs] for row in map(m.__getitem__, idxs)]
     q = [wi // common for wi in w]
     return P, q, d
 
 
-def _search_setup(g, x0, lo, hi, budget):
+def _search_setup(g, den, ix, idxs, lo, hi, budget):
     """The budget gate of every certified search of l -> chi(x0 + l) over
-    the box [lo, hi]: raises BoxTooLarge when the box has more points
-    than the budget (DEFAULT_BUDGET when None), else returns
+    the box [lo, hi] on ``idxs``: raises BoxTooLarge when the box has more
+    points than the budget (DEFAULT_BUDGET when None), else returns
     (P, q, d, size) with (P, q, d) from :func:`_shifted_quadratic`."""
     size = kernels.box_size(lo, hi)
     budget = DEFAULT_BUDGET if budget is None else budget
     if size > budget:
         raise BoxTooLarge(size, budget)
-    P, q, d = _shifted_quadratic(g, x0)
+    P, q, d = _shifted_quadratic(g, den, ix, idxs)
     return P, q, d, size
 
 
-def _minimize_shifted(g, x0, lo, hi, budget):
-    """Scaled minimum of l -> chi(x0 + l) over the box [lo, hi]:
+def _minimize(g, den, ix, idxs, lo, hi, budget):
+    """Scaled minimum of l -> chi(x0 + l) over the box [lo, hi] on ``idxs``:
     (val, d, argmin, size) with val = 2d (chi(x0 + l) - chi(x0)) at the
     lexicographically smallest argmin l."""
-    P, q, d, size = _search_setup(g, x0, lo, hi, budget)
+    P, q, d, size = _search_setup(g, den, ix, idxs, lo, hi, budget)
     val, point = kernels.min_quadratic_box(P, q, lo, hi)
     return val, d, point, size
 
 
-def _min_box_scaled(z: Cycle, lp: Cycle, budget):
-    """:func:`min_chi_box` before the chi(-lp) shift: (val, d, argmin,
-    size) with min chi(-lp + l) = chi(-lp) + val / 2d."""
-    g = z.graph
+def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertificate:
+    """Global minimum of l -> chi(-lp + l) over integer 0 <= l <= z."""
     lp._same_graph(z)
     if not (z.is_integral and z.is_effective):
         raise PreconditionFailed("z must be an effective integral cycle")
-    return _minimize_shifted(g, -lp, (0,) * g.n, z.int_coeffs(), budget)
-
-
-def min_chi_box(z: Cycle, lp: Cycle, budget: int | None = None) -> MinChiCertificate:
-    """Global minimum of l -> chi(-lp + l) over integer 0 <= l <= z."""
-    val, d, point, size = _min_box_scaled(z, lp, budget)
     g = z.graph
+    lo, hi = (0,) * g.n, z.int_coeffs()
+    # x0 = -lp: I x0 holds the E*-coordinates of lp
+    val, d, point, size = _minimize(g, lp.den, _estar_nums(lp), range(g.n), lo, hi, budget)
     return MinChiCertificate(
-        region={"type": "box", "lo": (0,) * g.n, "hi": z.int_coeffs()},
+        region={"type": "box", "lo": lo, "hi": hi},
         min_value=chi(-lp) + Fraction(val, 2 * d),
         minimizer=Cycle(g, point),
         certificate=None,
@@ -214,8 +205,7 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     if not (c.is_integral and c.is_effective):
         raise PreconditionFailed("lower bound must be an effective integral cycle")
     data = intersection_data(g)
-    zk = anticanonical_cycle(g)
-    den, k = zk.den, zk.nums
+    den, k = data.group_order, data.zk_nums
     c_int = c.int_coeffs()
     l0 = [max(ci, -(-x // (2 * den))) for ci, x in zip(c_int, k)]
     # 2 chi(l0) = lin - quad, as in chi; level is L
@@ -228,7 +218,7 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
         _ceil_sqrt(-(level * data.adjugate[v][v] // scale)) for v in range(g.n)
     )
     hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
-    val, d, point, size = _minimize_shifted(g, Cycle.zero(g), c_int, hi, budget)
+    val, d, point, size = _minimize(g, 1, (0,) * g.n, range(g.n), c_int, hi, budget)
     cert = {
         "continuous_minimizer": Cycle.from_nums(g, 2 * den, k),
         "level_bound": Fraction(level, 8 * den),

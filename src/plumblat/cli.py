@@ -284,15 +284,17 @@ def build_parser():
 
 
 def _budget(args):
-    if args.budget is not None:
-        return args.budget
+    budget, source = args.budget, "--budget"
     env = os.environ.get("PLUMBLAT_BUDGET")
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"PLUMBLAT_BUDGET must be an integer, got {env!r}") from None
+    if budget is None and env:
+        source = "PLUMBLAT_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{source} must be an integer, got {env!r}") from None
+    if budget is not None and budget < 1:
+        raise UsageError(f"{source} must be at least 1, got {budget}")
+    return budget
 
 
 def _run(args) -> dict:

@@ -2,6 +2,9 @@
 attainable h1 ranges, the generic geometric genus, and the dimension
 formulas for effective Cauchy data spaces.
 
+Floors over a disconnected support split over its components, which are
+searched on the parent graph as index tuples (no component graphs).
+
 Ceilings of these intervals depend on the analytic structure and are
 never computed; reports carry an explicit "unknown (analytic)" marker.
 """
@@ -12,16 +15,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import InternalError, PreconditionFailed
-from .graph import PlumbingGraph, components, subgraph
+from .graph import PlumbingGraph, components
 from .cycles import (
     Cycle,
+    _estar_nums,
     in_minus_lipman_cone,
     is_dual_lattice_member,
     pairing,
-    restrict_R,
     restrict_cycle,
 )
-from .chimin import _min_box_scaled, min_chi_box, min_chi_lower_bounded
+from .chimin import _minimize, min_chi_lower_bounded
 
 CEILING = "unknown (analytic)"
 
@@ -40,10 +43,6 @@ class IntervalFloorReport:
     ceiling: str = CEILING
 
 
-def _component_cycle(comp: PlumbingGraph, z: Cycle) -> Cycle:
-    return Cycle.from_nums(comp, z.den, [z.nums[z.graph.index(v)] for v in comp.names])
-
-
 def interval_floor_line_bundle(
     z: Cycle, lp: Cycle, budget: int | None = None
 ) -> IntervalFloorReport:
@@ -55,22 +54,28 @@ def interval_floor_line_bundle(
     the Chern class pushed through the cohomological restriction); their
     sum equals the global floor exactly.
     """
+    lp._same_graph(z)
+    if not (z.is_integral and z.is_effective):
+        raise PreconditionFailed("z must be an effective integral cycle")
+    g, hi = z.graph, z.int_coeffs()
+    den, a = lp.den, _estar_nums(lp)
     # chi(-l') - min chi(-l' + l) is -val / 2d in the kernel's scaling
-    val, d, point, size = _min_box_scaled(z, lp, budget)
+    val, d, point, size = _minimize(g, den, a, range(g.n), (0,) * g.n, hi, budget)
     floor = Fraction(-val, 2 * d)
     comps = ()
-    supp = z.support()
-    if supp and len(components(z.graph, map(z.graph.index, supp))) > 1:
+    split = components(g, [i for i, x in enumerate(hi) if x])
+    if len(split) > 1:
         entries = []
-        for comp, lp_c in restrict_R(lp, supp):
-            val_c, d_c, _, _ = _min_box_scaled(_component_cycle(comp, z), lp_c, budget)
-            entries.append((comp.names, Fraction(-val_c, 2 * d_c)))
+        for c in split:
+            hi_c = [hi[i] for i in c]
+            val, d, _, _ = _minimize(g, den, a, c, (0,) * len(c), hi_c, budget)
+            entries.append((tuple([g.names[i] for i in c]), Fraction(-val, 2 * d)))
         comps = tuple(entries)
         if sum(f for _, f in comps) != floor:
             raise InternalError("component floors do not sum to the global floor")
     return IntervalFloorReport(
         floor=floor,
-        minimizer=Cycle(z.graph, point),
+        minimizer=Cycle(g, point),
         integral=is_dual_lattice_member(lp),
         applicable=None,
         per_component=comps,
@@ -110,26 +115,29 @@ def generic_h1_oz_floor(z: Cycle, budget: int | None = None) -> IntervalFloorRep
     g = z.graph
     if not (z.is_integral and z.is_effective):
         raise PreconditionFailed("z must be an effective integral cycle")
-    supp = z.support()
+    zc = z.nums
+    supp = [i for i, x in enumerate(zc) if x]
     if not supp:
         return IntervalFloorReport(
             floor=Fraction(0), minimizer=None, integral=True, applicable=None
         )
+    # per component C: chi(E_C) = 1 on a tree, so 1 - min chi(E_C + l) over
+    # 0 <= l <= Z_C - E_C is -val / 2d; I E_|Z| is I E_C on C
+    ix = g.intersect([int(x > 0) for x in zc])
     total = Fraction(0)
     entries = []
     minimizer = [0] * g.n
     nodes = 0
-    for comp in subgraph(g, supp):
-        z_c = _component_cycle(comp, z)
-        e_c = Cycle.ones(comp)
-        cert = min_chi_box(z_c - e_c, -e_c, budget)
-        val = 1 - cert.min_value
-        entries.append((comp.names, val))
-        total += val
-        # the attained cycle is E_c + l on the component, 0 elsewhere
-        for v, x in zip(comp.names, cert.minimizer.int_coeffs()):
-            minimizer[g.index(v)] = x + 1
-        nodes += cert.nodes
+    for c in components(g, supp):
+        hi_c = [zc[i] - 1 for i in c]
+        val, d, point, size = _minimize(g, 1, ix, c, (0,) * len(c), hi_c, budget)
+        f = Fraction(-val, 2 * d)
+        entries.append((tuple([g.names[i] for i in c]), f))
+        total += f
+        # the attained cycle is E_C + l on the component, 0 elsewhere
+        for i, x in zip(c, point):
+            minimizer[i] = x + 1
+        nodes += size
     return IntervalFloorReport(
         floor=total,
         minimizer=Cycle(g, minimizer),

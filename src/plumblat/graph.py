@@ -5,13 +5,14 @@ self-intersection of the corresponding exceptional curve); all genus
 decorations are implicitly zero.  Validation happens at construction
 time: every downstream formula assumes negative definiteness.
 :func:`intersection_data` holds the lattice data in integers: the
-determinant and the adjugate det * I^-1.
+determinant, the adjugate det * I^-1 and Z_K, computed on first use and
+kept on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import mul
 import re
 
 from .errors import (
@@ -32,7 +33,7 @@ class PlumbingGraph:
     iteration in the package.
     """
 
-    __slots__ = ("names", "euler", "edges", "_index", "_adj", "_hash")
+    __slots__ = ("names", "euler", "edges", "_index", "_adj", "_hash", "_lattice")
 
     def __init__(self, vertices, edges, validate=True):
         names = tuple(str(n) for n, _ in vertices)
@@ -64,6 +65,7 @@ class PlumbingGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((names, euler, self.edges))
+        self._lattice = None  # IntersectionData
         if validate:
             self._validate()
 
@@ -148,25 +150,28 @@ class PlumbingGraph:
 
 @dataclass(frozen=True)
 class IntersectionData:
-    """Exact integer data attached to the intersection form of one graph:
-    the integer adjugate carries I^-1 = adjugate / det."""
+    """Exact integer data of the intersection form of one graph:
+    I^-1 = adjugate / det and Z_K = zk_nums / group_order."""
 
     matrix: tuple  # tuple of tuples of int
     adjugate: tuple  # tuple of tuples of int, det * I^-1
     det: int
     group_order: int  # |L'/L| = |det|
+    zk_nums: tuple
 
 
-@lru_cache(maxsize=None)
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    m = g.matrix()
-    det, adj = exactlin.det_adjugate(m)
-    return IntersectionData(
-        matrix=tuple(tuple(row) for row in m),
-        adjugate=tuple(tuple(row) for row in adj),
-        det=det,
-        group_order=abs(det),
-    )
+    data = g._lattice
+    if data is None:
+        m = g.matrix()
+        det, adj = exactlin.det_adjugate(m)
+        # Z_K = adj (e + 2) / det by adjunction, as numerators over |det|
+        k = [e + 2 if det > 0 else -e - 2 for e in g.euler]
+        data = g._lattice = IntersectionData(
+            tuple(map(tuple, m)), tuple(map(tuple, adj)), det, abs(det),
+            tuple([sum(map(mul, row, k)) for row in adj]),
+        )
+    return data
 
 
 # -- graph file format ---------------------------------------------------

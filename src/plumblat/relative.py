@@ -12,7 +12,8 @@ table, the table maximum for a file table) lets the evaluation visit only
 the points l with q(l) <= 2D (M - oracle(0)), where q(l) is
 2D (chi(-l'+l) - chi(-l')): no other point can be a witness or a
 minimizer.  The generic-natural table has no bound; it is evaluated at
-every box point, sharing the component floors within one walk.  Reports
+every box point, sharing the component floors within one walk; they are
+searched on the parent graph, so no component graph is built.  Reports
 give the certified box size as ``nodes`` in both cases.
 """
 
@@ -30,10 +31,10 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .cycles import Cycle, _estar_nums, _from_estar_nums, parse_cycle
-from .chimin import _search_setup
-from .genus import fiber_dim, interval_floor_line_bundle
-from .graph import subgraph
+from .cycles import Cycle, _estar_nums, parse_cycle
+from .chimin import _minimize, _search_setup
+from .genus import fiber_dim
+from .graph import components
 from . import kernels
 
 
@@ -148,8 +149,7 @@ class _GenericWalk:
     """
 
     def __init__(self, oracle, budget):
-        g = oracle.z.graph
-        self.graph = g
+        self.graph = oracle.z.graph
         self.budget = budget
         self.z = oracle.z.int_coeffs()
         self.z1 = oracle.z1.int_coeffs()
@@ -165,31 +165,26 @@ class _GenericWalk:
             return 0
         split = self.splits.get(supp)
         if split is None:
-            g = self.graph
-            split = self.splits[supp] = [
-                (comp, tuple(map(g.index, comp.names)))
-                for comp in subgraph(g, [g.names[i] for i in supp])
-            ]
+            split = self.splits[supp] = components(self.graph, supp)
         den = self.den
         a = [x + den * y for x, y in zip(self.a, self.graph.intersect(point))]
         total = 0
-        for comp, idxs in split:
-            key = (idxs, tuple(fixed[i] for i in idxs), tuple(a[i] for i in idxs))
+        for idxs in split:
+            z_c = tuple([fixed[i] for i in idxs])
+            key = (idxs, z_c, tuple([a[i] for i in idxs]))
             f = self.floors.get(key)
             if f is None:
-                f = self.floors[key] = self._floor(comp, key[1], key[2])
+                # chi(-l'_c) - min chi(-l'_c + l) over [0, z_c] is -val / 2d
+                lo = (0,) * len(idxs)
+                val, d, _, _ = _minimize(self.graph, den, a, idxs, lo, z_c, self.budget)
+                if val % (2 * d):
+                    raise ValidationError(
+                        "generic-natural oracle produced a non-integer value; "
+                        "the Chern class is not in the dual lattice"
+                    )
+                f = self.floors[key] = -val // (2 * d)
             total += f
         return total
-
-    def _floor(self, comp, z_c, a_c):
-        lp_c = _from_estar_nums(comp, self.den, a_c)
-        f = interval_floor_line_bundle(Cycle(comp, z_c), lp_c, self.budget).floor
-        if f.denominator != 1:
-            raise ValidationError(
-                "generic-natural oracle produced a non-integer value; "
-                "the Chern class is not in the dual lattice"
-            )
-        return int(f)
 
 
 # -- oracle file format ----------------------------------------------------
@@ -265,7 +260,7 @@ def _evaluate(z, z1, lp, oracle, budget):
     g = z.graph
     lo = (0,) * g.n
     hi = z.int_coeffs()
-    P, q, d, size = _search_setup(g, -lp, lo, hi, budget)
+    P, q, d, size = _search_setup(g, lp.den, _estar_nums(lp), range(g.n), lo, hi, budget)
     scale = 2 * d
     limit = None
     if oracle.bound is not None:

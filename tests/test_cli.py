@@ -510,6 +510,26 @@ def test_non_integer_budget_env_exits_2(gfile, capsys, monkeypatch):
     assert "PLUMBLAT_BUDGET must be an integer, got '1e6'" in err
 
 
+def test_budget_below_one_exits_2(gfile, capsys):
+    path = gfile(A2)
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "rational", "--graph", path, "--budget", value)
+        assert (code, out) == (2, "")
+        assert err == f"error: --budget must be at least 1, got {value}\n"
+
+
+def test_budget_env_below_one_exits_2(gfile, capsys, monkeypatch):
+    path = gfile(A2)
+    for value in ("0", "-5"):
+        monkeypatch.setenv("PLUMBLAT_BUDGET", value)
+        code, out, err = run(capsys, "floor", "--graph", path, "--z", "a=1", "--lprime", "0")
+        assert (code, out) == (2, "")
+        assert err == f"error: PLUMBLAT_BUDGET must be at least 1, got {value}\n"
+    # the flag takes precedence over the environment
+    code, _, _ = run(capsys, "rational", "--graph", path, "--budget", "1")
+    assert code == 3
+
+
 def test_python_m_version():
     src = os.path.dirname(os.path.dirname(plumblat.__file__))
     env = dict(os.environ, PYTHONPATH=src)

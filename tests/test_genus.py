@@ -7,6 +7,7 @@ import pytest
 
 from plumblat import (
     Cycle,
+    PlumbingGraph,
     PreconditionFailed,
     chi,
     eca_dim,
@@ -21,11 +22,15 @@ from plumblat import (
     generic_pg,
     interval_floor_line_bundle,
     is_rational,
+    min_chi_box,
     natural_floor_applicable,
+    restrict_R,
     restrict_cycle,
+    subgraph,
 )
 
 from conftest import (
+    corpus,
     graph_a1,
     graph_a2,
     graph_e8,
@@ -61,16 +66,65 @@ def test_floor_nonnegative_and_monotone():
         assert interval_floor_line_bundle(bigger, lp).floor >= q
 
 
+def split_supports(rng, graphs, count):
+    """``count`` pairs (g, Z) with Z of disconnected support, coefficients
+    1..3 on a random vertex subset of a graph from ``graphs``."""
+    out = []
+    while len(out) < count:
+        g = rng.choice(graphs)
+        z = Cycle(g, [rng.choice((0, 0, 1, 2, 3)) for _ in range(g.n)])
+        if z.support() and len(subgraph(g, z.support())) > 1:
+            out.append((g, z))
+    return out
+
+
+def dual_lattice_cycle(rng, g):
+    """A random element of L': an integer combination of the E*_v."""
+    total = Cycle.zero(g)
+    for v in g.names:
+        total += rng.randint(-3, 3) * estar(g, v)
+    return total
+
+
 def test_floor_per_component_breakdown():
-    g = random_tree(random.Random(2), max_n=1)
-    chain = type(g)(
+    """Each per-component floor equals the floor on the component graph
+    with the Chern class R(l'), for l' in L' and outside it; each
+    component of generic_h1_oz_floor equals its box search on the
+    component graph, in floor and minimizer."""
+    chain = PlumbingGraph(
         [("a", -2), ("b", -2), ("c", -2)], [("a", "b"), ("b", "c")]
     )
     z = Cycle.from_dict(chain, {"a": 2, "c": 1})  # disconnected support
-    lp = random_rat_cycle(random.Random(3), chain)
-    report = interval_floor_line_bundle(z, lp)
-    assert len(report.per_component) == 2
-    assert sum(f for _, f in report.per_component) == report.floor
+    report = interval_floor_line_bundle(z, random_rat_cycle(random.Random(3), chain))
+    assert [names for names, _ in report.per_component] == [("a",), ("c",)]
+    rng = random.Random(64)
+    graphs = [g for g in corpus() if g.n >= 3]
+    graphs += [random_tree(rng, max_n=7) for _ in range(60)]
+    graphs = [g for g in graphs if g.n >= 3]
+    for g, z in split_supports(rng, graphs, 150):
+        supp = z.support()
+        comps = subgraph(g, supp)
+        for lp in (dual_lattice_cycle(rng, g), random_rat_cycle(rng, g)):
+            report = interval_floor_line_bundle(z, lp)
+            want = []
+            for comp, lp_c in restrict_R(lp, supp):
+                z_c = Cycle.from_dict(comp, {v: z[v] for v in comp.names})
+                want.append((comp.names, interval_floor_line_bundle(z_c, lp_c).floor))
+            assert list(report.per_component) == want
+            assert sum(f for _, f in want) == report.floor
+        oz = generic_h1_oz_floor(z)
+        assert len(oz.per_component) == len(comps)
+        nodes = 0
+        for comp, (names, floor) in zip(comps, oz.per_component):
+            assert names == comp.names
+            z_c = Cycle.from_dict(comp, {v: z[v] for v in comp.names})
+            e_c = Cycle.ones(comp)
+            cert = min_chi_box(z_c - e_c, -e_c)
+            assert floor == 1 - cert.min_value
+            attained = cert.minimizer + e_c
+            assert [oz.minimizer[v] for v in names] == [attained[v] for v in names]
+            nodes += cert.nodes
+        assert oz.nodes == nodes
 
 
 def test_e8_floor_on_the_14m_point_box():

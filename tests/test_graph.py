@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -8,7 +10,9 @@ from plumblat import (
     PlumbingGraph,
     UnknownVertex,
     ValidationError,
+    generic_pg,
     intersection_data,
+    is_rational,
     parse_graph,
     serialize_graph,
     subgraph,
@@ -178,3 +182,29 @@ def test_induced_subgraphs_validate():
                     assert where[i] == where[j]
             assert idxs == sorted(idxs) and all(c == tuple(sorted(c)) for c in idxs)
             assert components(g, [g.index(v) for v in subset]) == idxs
+
+
+def test_lattice_data_is_freed_with_the_graph():
+    """Analysing throwaway graphs keeps no memory per graph: the lattice
+    data lives on the graph, and the only cache left (the kernel's
+    factorizations) is bounded, so a second batch of 600 random trees
+    adds little to what the first batch left.  Caches keyed on graphs
+    would keep over 1 KB per distinct graph; the bounded cache's size
+    moves by tens of KB as its entries turn over."""
+    rng = random.Random(2024)
+
+    def batch(count):
+        for _ in range(count):
+            g = random_tree(rng, max_n=4, euler_range=(-12, -1))
+            is_rational(g)
+            generic_pg(g)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        first = batch(600)
+        second = batch(600)
+    finally:
+        tracemalloc.stop()
+    assert second - first < 250_000

@@ -169,7 +169,7 @@ def test_shifted_quadratic_matches_fraction_formula():
     rng = random.Random(8)
     for g in _trees(9, 100):
         for x0 in sample_cycles(rng, g):
-            P, q, d = _shifted_quadratic(g, x0)
+            P, q, d = _shifted_quadratic(g, x0.den, g.intersect(x0.nums), range(g.n))
             assert (P, q, d) == old_shifted_quadratic(g, x0)
             # the defining identity at a random integer step
             l = [rng.randint(-2, 2) for _ in range(g.n)]

@@ -154,7 +154,7 @@ def lattice_instance(rng, n):
             g = random_tree(rng, max_n=n)
     den = rng.randint(1, 4)
     x0 = Cycle(g, [Fraction(rng.randint(-6, 6), den) for _ in range(n)])
-    P, q, _ = _shifted_quadratic(g, x0)
+    P, q, _ = _shifted_quadratic(g, x0.den, g.intersect(x0.nums), range(g.n))
     return P, q
 
 

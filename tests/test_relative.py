@@ -30,7 +30,7 @@ from plumblat import (
     relspace_dim,
     restrict_R,
 )
-from plumblat import relative
+from plumblat import chimin, relative
 
 from conftest import (
     corpus,
@@ -276,13 +276,16 @@ def test_generic_oracle_rejects_non_integer_chern_class():
 
 
 def test_nested_oracle_searches_get_the_request_budget(monkeypatch):
+    """The generic oracle's component floors pass the budget gate
+    ``chimin._search_setup`` with the budget of the request."""
     budgets = []
+    gate = chimin._search_setup
 
-    def spy(z, lp, budget=None):
-        budgets.append(budget)
-        return interval_floor_line_bundle(z, lp, budget)
+    def spy(*args):
+        budgets.append(args[-1])
+        return gate(*args)
 
-    monkeypatch.setattr(relative, "interval_floor_line_bundle", spy)
+    monkeypatch.setattr(chimin, "_search_setup", spy)
     g = PlumbingGraph([("a", -2), ("b", -3)], [("a", "b")])
     zmin = fundamental_cycle(g)
     z = 2 * zmin

@@ -93,4 +93,4 @@ def test_traced_generic_oracle_run_counts(spans):
     assert metrics["kernels.box_values.points"] == size
     assert metrics["relative.GenericNaturalOracle.value.calls"] == size
     assert metrics["kernels.box_points"] > 0
-    assert metrics["genus.interval_floor_line_bundle.calls"] > 1
+    assert metrics["kernels.min_quadratic_box.calls"] > 1
