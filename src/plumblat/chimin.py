@@ -5,7 +5,10 @@ regions.
 chi is a convex quadratic with positive-definite quadratic part on the
 real lattice, which is what makes the certified bounding box for the
 unbounded minimization possible: the level set through any feasible value
-is an ellipsoid with exactly computable coordinate extents.
+is an ellipsoid with exactly computable coordinate extents.  The
+lower-bounded minimization searches the box of the level through a
+feasible start; Artin's rationality test walks the box of the level
+through the origin once, for its points with chi <= 0.
 """
 
 from __future__ import annotations
@@ -184,22 +187,40 @@ def _ceil_sqrt(n: int) -> int:
     return 0 if n <= 0 else isqrt(n - 1) + 1
 
 
+def _level_box(g: PlumbingGraph, l0):
+    """The certified box of the level set {chi <= chi(l0)}, for integer l0.
+
+    The quadratic part of chi is positive definite, so the set is an
+    ellipsoid centred at the continuous minimizer Z_K/2.  With
+    Z_K = k / den, by adjunction chi(Z_K/2) = sum_v k_v (e_v + 2) / (8 den),
+    so the level L = 8 den (chi(l0) - chi(Z_K/2)) is an integer, and on
+    the level set |l_v - (Z_K/2)_v|^2 <= L (-adj_vv) / (4 den det), whose
+    ceiling square root is the ceiling square root of its ceiling.
+
+    Returns (2 chi(l0), L, radius, hi) with hi_v = max(l0_v,
+    floor(k_v / 2 den) + radius_v), the upper corner of the box.
+    """
+    data = intersection_data(g)
+    den, k = data.group_order, data.zk_nums
+    # 2 chi(l0) = lin - quad, as in chi
+    lin = sum(x * (e + 2) for x, e in zip(l0, g.euler))
+    quad = sum(map(mul, l0, g.intersect(l0)))
+    level = 4 * den * (lin - quad) - sum(x * (e + 2) for x, e in zip(k, g.euler))
+    scale = 4 * den * data.det
+    radius = tuple(
+        _ceil_sqrt(-(level * data.adjugate[v][v] // scale)) for v in range(g.n)
+    )
+    hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
+    return lin - quad, level, radius, hi
+
+
 def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertificate:
     """Global minimum of chi over all integer l >= c, with a soundness
     certificate.
 
-    The quadratic part of chi is positive definite, so the continuous
-    minimizer is Z_K/2 and the level set through any feasible value is a
-    bounded ellipsoid.  Starting from the feasible point
-    l0 = max(c, ceil(Z_K/2)) the per-coordinate extent of the level set
-    {chi <= chi(l0)} is bounded exactly with integer square roots, giving
-    a finite box that provably contains every possible improvement.
-
-    With Z_K = k / den, the box is set up on integers: by adjunction
-    chi(Z_K/2) = sum_v k_v (e_v + 2) / (8 den), so the level
-    L = 8 den (chi(l0) - chi(Z_K/2)) is an integer, and on the level set
-    |l_v - (Z_K/2)_v|^2 <= L (-adj_vv) / (4 den det), whose ceiling square
-    root is the ceiling square root of its ceiling.
+    Starting from the feasible point l0 = max(c, ceil(Z_K/2)), the box of
+    the level set {chi <= chi(l0)} (:func:`_level_box`) provably contains
+    every possible improvement; the search runs over its part above c.
     """
     g = c.graph
     if not (c.is_integral and c.is_effective):
@@ -208,23 +229,14 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     den, k = data.group_order, data.zk_nums
     c_int = c.int_coeffs()
     l0 = [max(ci, -(-x // (2 * den))) for ci, x in zip(c_int, k)]
-    # 2 chi(l0) = lin - quad, as in chi; level is L
-    lin = sum(x * (e + 2) for x, e in zip(l0, g.euler))
-    quad = sum(map(mul, l0, g.intersect(l0)))
-    level = 4 * den * (lin - quad) - sum(x * (e + 2) for x, e in zip(k, g.euler))
-    # radius_v = ceil sqrt of ceil(L (-adj_vv) / (4 den det))
-    scale = 4 * den * data.det
-    radius = tuple(
-        _ceil_sqrt(-(level * data.adjugate[v][v] // scale)) for v in range(g.n)
-    )
-    hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
+    start, level, radius, hi = _level_box(g, l0)
     val, d, point, size = _minimize(g, 1, (0,) * g.n, range(g.n), c_int, hi, budget)
     cert = {
         "continuous_minimizer": Cycle.from_nums(g, 2 * den, k),
         "level_bound": Fraction(level, 8 * den),
         "radius": radius,
         "feasible_start": Cycle(g, l0),
-        "start_value": Fraction(lin - quad, 2),
+        "start_value": Fraction(start, 2),
         "box_lo": c_int,
         "box_hi": hi,
     }
@@ -241,19 +253,26 @@ def is_rational(g: PlumbingGraph, budget: int | None = None) -> bool:
     """Artin's rationality criterion: chi(l) >= 1 for every effective
     nonzero cycle.
 
-    Runs the minimization criterion (every nonzero effective l satisfies
-    l >= E_v for some v) and the independent chi(Z_min) = 1 check, and
-    demands agreement; a mismatch is an implementation bug.
+    chi is an integer on integral cycles and chi(0) = 0, so this holds iff
+    the origin is the only l >= 0 with chi(l) <= 0.  That sublevel set lies
+    in the box [0, hi] of the level set through the origin
+    (:func:`_level_box`), which one certified walk of 2 chi (P = -I,
+    q = e + 2) at bound 0 searches: the origin comes first, and any second
+    point refutes rationality.  The box passes the one budget gate.
+
+    The independent chi(Z_min) = 1 check (Laufer) must agree; a mismatch
+    is an implementation bug.
     """
-    artin_min = min(
-        min_chi_lower_bounded(Cycle.basis(g, v), budget).min_value
-        for v in g.names
-    )
-    by_min = artin_min >= 1
+    lo = (0,) * g.n
+    hi = _level_box(g, lo)[3]
+    P, q, _, _ = _search_setup(g, 1, lo, range(g.n), lo, hi, budget)
+    walk = kernels.box_values(P, q, lo, hi, 0)
+    next(walk)  # the origin
+    second = next(walk, None)
     chi_zmin = chi(fundamental_cycle(g))
-    if by_min != (chi_zmin == 1):
+    if (second is None) != (chi_zmin == 1):
         raise InternalError(
-            "rationality cross-check disagreement: "
-            f"min chi = {artin_min}, chi(Z_min) = {chi_zmin}"
+            "rationality cross-check disagreement: second (point, 2 chi) "
+            f"with chi <= 0 = {second}, chi(Z_min) = {chi_zmin}"
         )
-    return by_min
+    return second is None

@@ -20,7 +20,6 @@ from operator import add, ge, le, mul, sub
 import re
 
 from .errors import (
-    EmptySubset,
     GraphMismatch,
     GraphSyntaxError,
     UnknownVertex,
@@ -287,10 +286,9 @@ def restrict_R(lp: Cycle, subset):
     Decomposes lp in the dual base, keeps the coefficients over ``subset``
     and reassembles on each connected component of the induced subgraph.
     Returns a list of ``(component_graph, cycle)`` pairs, components in
-    declaration order.
+    declaration order; an empty ``subset`` raises EmptySubset (from
+    :func:`subgraph`, which reads ``subset`` once).
     """
-    if not set(subset):
-        raise EmptySubset("vertex subset is empty")
     g = lp.graph
     a = _estar_nums(lp)
     out = []

@@ -1,11 +1,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from plumblat import (
     BoxTooLarge,
     Cycle,
+    PlumbingGraph,
     anticanonical_cycle,
     chi,
     fundamental_cycle,
@@ -16,12 +18,15 @@ from plumblat import (
     min_chi_lower_bounded,
     pairing,
 )
+from plumblat import chimin, kernels
 
 from conftest import (
     brute_fundamental_cycle,
+    corpus,
     brute_min_chi_box,
     graph_a1,
     graph_a2,
+    graph_an,
     graph_e8,
     graph_t237,
     random_rat_cycle,
@@ -215,3 +220,88 @@ def test_is_rational_examples():
     assert is_rational(graph_a2())
     assert is_rational(graph_e8())
     assert not is_rational(graph_t237())
+
+
+def _spy_search_setup(monkeypatch):
+    """Record the (lo, hi, budget) of every call of the budget gate."""
+    calls = []
+    real = chimin._search_setup
+
+    def spy(g, den, ix, idxs, lo, hi, budget):
+        calls.append((tuple(lo), tuple(hi), budget))
+        return real(g, den, ix, idxs, lo, hi, budget)
+
+    monkeypatch.setattr(chimin, "_search_setup", spy)
+    return calls
+
+
+def test_is_rational_passes_one_gate_with_one_budget(monkeypatch):
+    """One is_rational call is one certified search: the whole budget
+    applies to its one box, which must fit in it."""
+    calls = _spy_search_setup(monkeypatch)
+    sizes = []
+    graphs = (PlumbingGraph([("a", -3)], []), graph_an(3, -3), graph_e8(), graph_t237())
+    for g in graphs:
+        calls.clear()
+        want = is_rational(g)
+        [(lo, hi, budget)] = calls
+        assert budget is None and lo == (0,) * g.n
+        s = kernels.box_size(lo, hi)
+        sizes.append(s)
+        calls.clear()
+        with pytest.raises(BoxTooLarge) as exc:
+            is_rational(g, budget=s - 1)
+        assert (exc.value.required, exc.value.budget) == (s, s - 1)
+        assert is_rational(g, budget=s) == want
+        assert [c[2] for c in calls] == [s - 1, s]
+    # E8 has Z_K = 0, so its box is the origin and budget 0 refuses it
+    assert sizes == [2, 8, 1, 360]
+
+
+def test_is_rational_matches_the_n_search_minimum_on_the_corpus():
+    """The one walk decides as Artin's criterion by one lower-bounded
+    search per vertex (every nonzero l >= 0 is >= some E_v)."""
+    for g in corpus():
+        artin_min = min(
+            min_chi_lower_bounded(Cycle.basis(g, v)).min_value for v in g.names
+        )
+        assert is_rational(g) == (artin_min >= 1)
+
+
+def test_walk_box_holds_every_sublevel_point(monkeypatch):
+    """Brute force over [0, 2 hi + 1], with chi from the intersection
+    matrix in numpy: every l >= 0 with chi(l) <= 0 lies in the walk's box
+    [0, hi], and the origin is the only one iff the graph is rational.
+
+    A seeded sample of corpus trees, non-rational ones (by chi(Z_min)) drawn
+    apart so both verdicts are covered; trees whose enlarged box exceeds
+    10^5 points are left out to bound the test's time.
+    """
+    calls = _spy_search_setup(monkeypatch)
+
+    def walk_hi(g):
+        calls.clear()
+        rational = is_rational(g)
+        [(_, hi, _)] = calls
+        return hi, rational
+
+    rng = random.Random(18)
+    trees = corpus()
+    non_rational = [g for g in trees if chi(fundamental_cycle(g)) != 1]
+    sample = rng.sample(trees, 200) + rng.sample(non_rational, 60)
+    seen = {True: 0, False: 0}
+    for g in sample:
+        hi, rational = walk_hi(g)
+        if np.prod([2 * h + 2 for h in hi]) > 10**5:
+            continue
+        m = np.array(g.matrix(), dtype=np.int64)
+        pts = np.stack(
+            np.meshgrid(*[np.arange(2 * h + 2) for h in hi], indexing="ij"),
+            axis=-1,
+        ).reshape(-1, g.n)
+        two_chi = pts @ (np.array(g.euler) + 2) - ((pts @ m) * pts).sum(axis=1)
+        low = pts[two_chi <= 0]
+        assert (low <= np.array(hi)).all(), (g.euler, hi)
+        assert (len(low) == 1) == rational
+        seen[rational] += 1
+    assert seen[True] >= 150 and seen[False] >= 50

@@ -525,7 +525,9 @@ def test_budget_env_below_one_exits_2(gfile, capsys, monkeypatch):
         code, out, err = run(capsys, "floor", "--graph", path, "--z", "a=1", "--lprime", "0")
         assert (code, out) == (2, "")
         assert err == f"error: PLUMBLAT_BUDGET must be at least 1, got {value}\n"
-    # the flag takes precedence over the environment
+    # the flag takes precedence over the environment; rational searches
+    # one box, which on one vertex of Euler number -3 has 2 points
+    path = gfile("vertex a -3\n", "m3.txt")
     code, _, _ = run(capsys, "rational", "--graph", path, "--budget", "1")
     assert code == 3
 

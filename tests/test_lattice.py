@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from plumblat import (
     Cycle,
+    EmptySubset,
     GraphMismatch,
     GraphSyntaxError,
     estar,
@@ -116,6 +117,19 @@ def test_restrict_R_examples():
     # support outside the subset restricts to zero
     _, zero = restrict_R(estar(a2, "b"), ["a"])[0]
     assert zero.is_zero
+
+
+def test_restrict_R_reads_the_subset_once():
+    """A one-shot iterable subset is not used up before the restriction,
+    and an empty subset is still refused."""
+    a2 = graph_a2()
+    [(comp, cyc)] = restrict_R(estar(a2, "a"), (v for v in ["a"]))
+    assert comp.names == ("a",)
+    assert cyc == Cycle(comp, [Fraction(1, 2)])
+    with pytest.raises(EmptySubset):
+        restrict_R(estar(a2, "a"), [])
+    with pytest.raises(EmptySubset):
+        restrict_R(estar(a2, "a"), (v for v in []))
 
 
 def test_restrict_R_linearity():
