@@ -11,10 +11,26 @@ An oracle with a known maximum M over the box (``bound``: 0 for the zero
 table, the table maximum for a file table) lets the evaluation visit only
 the points l with q(l) <= 2D (M - oracle(0)), where q(l) is
 2D (chi(-l'+l) - chi(-l')): no other point can be a witness or a
-minimizer.  The generic-natural table has no bound; it is evaluated at
-every box point, sharing the component floors within one walk; they are
-searched on the parent graph, so no component graph is built.  Reports
-give the certified box size as ``nodes`` in both cases.
+minimizer.
+
+The generic-natural table needs no oracle call.  The components of
+min(Z-l, Z1) have no edges between them and
+chi(a+m) = chi(a) + chi(m) - (a, m), so its component floors sum to
+chi(-l'+l) - min over 0 <= m <= min(Z-l, Z1) of chi(-l'+l+m).  The
+objective at l is thus the least chi(-l'+k) over the box
+[l, l + min(Z-l, Z1)], its minimum is the interval floor of (Z, l'), and
+a point k counts exactly for the l in [max(0, k - Z1), k].  One walk of
+the sublevel set {q <= F0}, with F0 = min q over [0, Z1] the objective
+at 0, gives the rest: the argmin is the smallest corner max(0, k - Z1)
+over the k minimizing q, and the witness the smallest nonzero point of
+those boxes over k != 0 (the corner when it is nonzero, else E_j for the
+last j with k_j > 0).  This path serves the plain
+``GenericNaturalOracle`` bound to the request's l' in L'.  A subclass
+overriding ``value``, another l', or l' outside L' (whose floors may be
+non-integer, an error) is evaluated at every box point, sharing the
+component floors within one walk; they are searched on the parent graph,
+so no component graph is built.  Reports give the certified box size as
+``nodes`` in every case.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from .errors import (
     PreconditionFailed,
     ValidationError,
 )
-from .cycles import Cycle, _estar_nums, parse_cycle
+from .cycles import Cycle, _estar_nums, is_dual_lattice_member, parse_cycle
 from .chimin import _minimize, _search_setup
 from .genus import fiber_dim
 from .graph import components
@@ -113,9 +129,12 @@ class GenericNaturalOracle(H1Oracle):
     table(l) = sum over components of min(z-l, z1) of the interval floor
     with Chern class R(l' - l).
 
-    Within one walk the floors are shared: equal (component, z_c, l'_c)
-    keys recur across the box, and nested searches run under the walk's
-    budget.  Outside a walk each call computes its value afresh.
+    ``relgen_h1`` and ``reldom_check`` do not call ``value`` on this class
+    when it is bound to their l' in L': they read the whole table from one
+    sublevel walk (see the module docstring).  Within a per-point walk the
+    floors are shared: equal (component, z_c, l'_c) keys recur across the
+    box, and nested searches run under the walk's budget.  Outside a walk
+    each call computes its value afresh.
     """
 
     source = "generic"
@@ -244,24 +263,43 @@ class RelReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _evaluate(z, z1, lp, oracle, budget):
-    """One lexicographic pass over [0, z] of chi(-l'+l) - oracle(l).
-
-    Values are scaled by 2D: the objective at l is chi(-l') + F(l) / (2D)
-    with F(l) = q(l) - 2D oracle(l).  The pass keeps F(0), the first later
-    point whose value does not exceed it (the witness), and the running
-    strict minimum, whose point is then the lexicographically smallest
-    argmin.  Witnesses and minimizers satisfy F(l) <= F(0), so when the
-    oracle is bounded by M only the points with q(l) <= 2D (M - oracle(0))
-    are visited; l = 0 is among them and comes first.
+def _generic_sublevel(g, den, ix, P, q, hi, z1, budget):
+    """(minimum, argmin, witness) of F(l) = min q over [l, l + min(hi - l, z1)]
+    on [0, hi], from one walk of {q <= F(0)}, F(0) = min q over [0, z1]:
+    a point k of that set gives F(l) <= F(0) at exactly the l in
+    [max(0, k - z1), k].
     """
-    if oracle.z != z or oracle.z1 != z1:
-        raise PreconditionFailed("oracle is not bound to this (Z, Z1) pair")
-    g = z.graph
-    lo = (0,) * g.n
-    hi = z.int_coeffs()
-    P, q, d, size = _search_setup(g, lp.den, _estar_nums(lp), range(g.n), lo, hi, budget)
-    scale = 2 * d
+    n = g.n
+    lo = (0,) * n
+    f0 = _minimize(g, den, ix, range(n), lo, z1, budget)[0]
+    best = best_point = witness = None
+    for k, v in kernels.box_values(P, q, lo, hi, f0):
+        corner = tuple([max(0, a - b) for a, b in zip(k, z1)])
+        if best is None or v < best or (v == best and corner < best_point):
+            best, best_point = v, corner
+        if any(corner):
+            w = corner
+        elif any(k):  # the smallest nonzero point of [0, k]
+            j = max(i for i, a in enumerate(k) if a)
+            w = (0,) * j + (1,) + (0,) * (n - 1 - j)
+        else:
+            continue
+        if witness is None or w < witness:
+            witness = w
+    return best, best_point, witness
+
+
+def _oracle_walk(g, P, q, hi, scale, oracle, budget):
+    """(minimum, argmin, witness) of F(l) = q(l) - scale oracle(l) on
+    [0, hi], asking the oracle at each point of one lexicographic pass.
+
+    The pass keeps F(0), the first later point whose value does not
+    exceed it (the witness), and the running strict minimum, whose point
+    is then the lexicographically smallest argmin.  Witnesses and
+    minimizers satisfy F(l) <= F(0), so when the oracle is bounded by M
+    only the points with q(l) <= scale (M - oracle(0)) are visited; l = 0
+    is among them and comes first.
+    """
     limit = None
     if oracle.bound is not None:
         limit = scale * (oracle.bound - oracle.value(Cycle.zero(g)))
@@ -269,7 +307,7 @@ def _evaluate(z, z1, lp, oracle, budget):
             raise ValidationError("oracle value at 0 exceeds the oracle bound")
     base = best = best_point = witness = None
     with oracle.walk(budget):
-        for point, v in kernels.box_values(P, q, lo, hi, limit):
+        for point, v in kernels.box_values(P, q, (0,) * g.n, hi, limit):
             v -= scale * oracle.value(Cycle(g, point))
             if base is None:  # l = 0 is the first lexicographic point
                 base = best = v
@@ -280,6 +318,47 @@ def _evaluate(z, z1, lp, oracle, budget):
             if v < best:
                 best = v
                 best_point = point
+    return best, best_point, witness
+
+
+def _evaluate(z, z1, lp, oracle, budget):
+    """The minimum, lexicographically smallest argmin and witness of
+    chi(-l'+l) - oracle(l) over [0, z].
+
+    Values are scaled by 2D: the objective at l is chi(-l') + F(l) / (2D)
+    with F(l) = q(l) - 2D oracle(l), and the witness is the first point
+    l > 0 with F(l) <= F(0).  For the plain generic-natural oracle bound
+    to this l', with l' in L', the component floors sum to
+    F(l) = min q over [l, l + min(z - l, z1)], so the oracle is not asked:
+    :func:`_generic_sublevel` walks {q <= F(0)} once, takes the argmin as
+    the smallest corner max(0, k - z1) over the k minimizing q, and the
+    witness as the smallest nonzero point of the boxes
+    [max(0, k - z1), k], k != 0: the corner when it is nonzero, else e_j
+    for the last j with k_j > 0.  Every other oracle (a subclass
+    overriding ``value``, another l', l' outside L') is asked point by
+    point (:func:`_oracle_walk`).  Both paths report the box size as
+    nodes.
+    """
+    lp._same_graph(z)
+    if oracle.z != z or oracle.z1 != z1:
+        raise PreconditionFailed("oracle is not bound to this (Z, Z1) pair")
+    g = z.graph
+    lo = (0,) * g.n
+    hi = z.int_coeffs()
+    ix = _estar_nums(lp)
+    P, q, d, size = _search_setup(g, lp.den, ix, range(g.n), lo, hi, budget)
+    scale = 2 * d
+    # read at call time: a tracer may rebind the method on the class
+    if (
+        type(oracle).value is GenericNaturalOracle.value
+        and oracle.lp == lp
+        and is_dual_lattice_member(lp)
+    ):
+        best, best_point, witness = _generic_sublevel(
+            g, lp.den, ix, P, q, hi, z1.int_coeffs(), budget
+        )
+    else:
+        best, best_point, witness = _oracle_walk(g, P, q, hi, scale, oracle, budget)
     return RelReport(
         dominant=witness is None,
         witness=None if witness is None else Cycle(g, witness),

@@ -10,6 +10,7 @@ from plumblat import (
     BoxTooLarge,
     Cycle,
     GenericNaturalOracle,
+    GraphMismatch,
     GraphSyntaxError,
     HypothesisFailed,
     OracleIncomplete,
@@ -265,6 +266,110 @@ def test_generic_oracle_matches_direct_formula():
             assert oracle.value(l) == v
         cases += 1
     assert cases >= 10
+
+
+def test_generic_sublevel_walk_matches_the_per_point_walk():
+    """The plain generic oracle is evaluated by one sublevel walk; a
+    subclass overriding ``value`` is asked at every box point.  Both give
+    the same report, and rel_h1 is the interval floor of (Z, l')."""
+    rng = random.Random(113)
+    cases = dominant = 0
+    graphs = corpus()
+    while cases < 300:
+        g = rng.choice(graphs)
+        z = rng.randint(1, 3) * fundamental_cycle(g)
+        if len(list(itertools.product(*[range(int(c) + 1) for c in z.coeffs]))) > 600:
+            continue
+        z1 = Cycle(g, [rng.randint(0, int(c)) for c in z.coeffs])
+        lp = rng.choice((1, -1)) * estar(g, rng.choice(g.names)) + Cycle(
+            g, [rng.randint(-2, 2) for _ in range(g.n)]
+        )
+        for fn in (relgen_h1, reldom_check):
+            walked = RecordingGenericOracle(z, z1, lp)
+            report = fn(z, z1, lp, GenericNaturalOracle(z, z1, lp))
+            assert report == fn(z, z1, lp, walked)
+            assert len(walked.seen) == report.nodes
+        assert report.rel_h1 == interval_floor_line_bundle(z, lp).floor
+        cases += 1
+        dominant += report.dominant
+    assert 0 < dominant < cases
+
+
+def spy_generic_values(monkeypatch):
+    """Wrap ``GenericNaturalOracle.value`` on the class, as the benchmark
+    tracer does; returns the list of points it is asked at."""
+    seen = []
+    value = GenericNaturalOracle.value
+
+    def spy(self, l):
+        seen.append(l.int_coeffs())
+        return value(self, l)
+
+    monkeypatch.setattr(GenericNaturalOracle, "value", spy)
+    return seen
+
+
+def test_generic_oracle_for_another_chern_class_is_asked_per_point(monkeypatch):
+    """An oracle bound to another l' than the request's is asked at every
+    box point; a wrapped ``value`` still takes the sublevel walk when the
+    oracle is bound to the request's l'."""
+    seen = spy_generic_values(monkeypatch)
+    g = graph_t237()
+    zmin = fundamental_cycle(g)
+    z = 2 * zmin
+    lp, other = -estar(g, "c"), estar(g, "r")
+    points = list(itertools.product(*[range(c + 1) for c in z.int_coeffs()]))
+    oracle = GenericNaturalOracle(z, zmin, other)
+    report = relgen_h1(z, zmin, lp, oracle)
+    assert seen == points
+    obj = {
+        pt: chi(-lp + Cycle(g, pt)) - direct_generic_value(oracle, Cycle(g, pt))
+        for pt in points
+    }
+    best = min(obj.values())
+    assert report.rel_h1 == chi(-lp) - best
+    assert report.argmin == Cycle(g, min(pt for pt in points if obj[pt] == best))
+    seen.clear()
+    relgen_h1(z, zmin, lp, GenericNaturalOracle(z, zmin, lp))
+    assert seen == []
+
+
+def test_chern_class_outside_the_dual_lattice_is_asked_per_point(monkeypatch):
+    """l' outside L' keeps the per-point walk, and with it both of its
+    outcomes: a report when every component floor is an integer (this
+    case), a ValidationError otherwise."""
+    seen = spy_generic_values(monkeypatch)
+    g = PlumbingGraph(
+        [("v0", -1), ("v1", -2), ("v2", -4), ("v3", -1), ("v4", -1)],
+        [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v2", "v4")],
+    )
+    z = Cycle.ones(g)
+    z1 = Cycle.basis(g, "v0")
+    lp = 2 * Cycle.basis(g, "v0") - Fraction(1, 3) * Cycle.basis(g, "v3")
+    for fn in (relgen_h1, reldom_check):
+        seen.clear()
+        report = fn(z, z1, lp, GenericNaturalOracle(z, z1, lp))
+        assert seen == list(itertools.product(range(2), repeat=5))
+        assert report == relative.RelReport(
+            dominant=False,
+            witness=Cycle.basis(g, "v0"),
+            rel_h1=Fraction(1),
+            argmin=Cycle.zero(g),
+            nodes=32,
+            diagnostics={"oracle_source": "generic"},
+        )
+
+
+def test_chern_class_on_another_graph_raises():
+    a2 = graph_a2()
+    z = Cycle.ones(a2)
+    for other in (
+        PlumbingGraph([("a", -2), ("b", -3)], [("a", "b")]),
+        graph_a1(),
+    ):
+        for fn in (relgen_h1, reldom_check):
+            with pytest.raises(GraphMismatch):
+                fn(z, z, Cycle.ones(other), ZeroOracle(z, z))
 
 
 def test_generic_oracle_rejects_non_integer_chern_class():

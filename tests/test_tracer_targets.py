@@ -72,25 +72,34 @@ def test_install_and_uninstall_restore_bindings(spans):
 
 
 def test_traced_generic_oracle_run_counts(spans):
-    """One traced relgen_h1 with the generic oracle and one interval
+    """Traced relgen_h1 runs with the generic oracle and one interval
     floor: the counts the benchmark reports come from the arguments these
-    functions receive, so a change to them shows here."""
+    functions receive, so a change to them shows here.  The plain oracle
+    is evaluated by one sublevel walk and never asked for a value; a
+    subclass overriding ``value`` is asked at every box point."""
+
+    class Overriding(plumblat.GenericNaturalOracle):
+        def value(self, l):
+            return super().value(l)
+
     g = plumblat.PlumbingGraph([("a", -2), ("b", -3)], [("a", "b")])
     zmin = plumblat.fundamental_cycle(g)
     z = 2 * zmin  # a=2 b=2: a 3 x 3 box
     lp = -plumblat.estar(g, "a")
     size = 3 * 3
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        oracle = plumblat.GenericNaturalOracle(z, zmin, lp)
-        report = plumblat.relgen_h1(z, zmin, lp, oracle)
-        plumblat.interval_floor_line_bundle(z, lp)
-    finally:
-        tracer.uninstall()
-    assert report.nodes == size
-    metrics = tracer.metrics(DEFAULT_BUDGET)
-    assert metrics["kernels.box_values.points"] == size
-    assert metrics["relative.GenericNaturalOracle.value.calls"] == size
-    assert metrics["kernels.box_points"] > 0
-    assert metrics["kernels.min_quadratic_box.calls"] > 1
+    counts = []
+    for cls in (plumblat.GenericNaturalOracle, Overriding):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            report = plumblat.relgen_h1(z, zmin, lp, cls(z, zmin, lp))
+            plumblat.interval_floor_line_bundle(z, lp)
+        finally:
+            tracer.uninstall()
+        assert report.nodes == size
+        metrics = tracer.metrics(DEFAULT_BUDGET)
+        assert metrics["kernels.box_values.points"] == size
+        assert metrics["kernels.box_points"] > 0
+        assert metrics["kernels.min_quadratic_box.calls"] > 1
+        counts.append(metrics["relative.GenericNaturalOracle.value.calls"])
+    assert counts == [0, size]
