@@ -25,18 +25,16 @@ at 0, gives the rest: the argmin is the smallest corner max(0, k - Z1)
 over the k minimizing q, and the witness the smallest nonzero point of
 those boxes over k != 0 (the corner when it is nonzero, else E_j for the
 last j with k_j > 0).  This path serves the plain
-``GenericNaturalOracle`` bound to the request's l' in L'.  A subclass
-overriding ``value``, another l', or l' outside L' (whose floors may be
-non-integer, an error) is evaluated at every box point, sharing the
-component floors within one walk; they are searched on the parent graph,
-so no component graph is built.  Reports give the certified box size as
-``nodes`` in every case.
+``GenericNaturalOracle`` bound to the request's l'; the oracle takes
+only a Chern class l' in L'.  A subclass overriding ``value``, or an
+oracle bound to another l', is asked at every box point, and each
+generic value is one search on the parent graph.  Reports give the
+certified box size as ``nodes`` in every case.
 """
 
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -50,7 +48,6 @@ from .errors import (
 from .cycles import Cycle, _estar_nums, is_dual_lattice_member, parse_cycle
 from .chimin import _minimize, _search_setup
 from .genus import fiber_dim
-from .graph import components
 from . import kernels
 
 
@@ -77,12 +74,6 @@ class H1Oracle:
 
     def value(self, l: Cycle) -> int:
         raise NotImplementedError
-
-    def walk(self, budget):
-        """Context of one box walk, with the request's node budget (None
-        for the default); an oracle may keep scratch state in it, dropped
-        when the walk ends.  An oracle serves one walk at a time."""
-        return nullcontext()
 
 
 class ZeroOracle(H1Oracle):
@@ -127,14 +118,15 @@ class TableOracle(H1Oracle):
 class GenericNaturalOracle(H1Oracle):
     """Table filled with the generic natural-line-bundle floors:
     table(l) = sum over components of min(z-l, z1) of the interval floor
-    with Chern class R(l' - l).
+    with Chern class R(l' - l), for l' in L' (else ValidationError).
 
     ``relgen_h1`` and ``reldom_check`` do not call ``value`` on this class
-    when it is bound to their l' in L': they read the whole table from one
-    sublevel walk (see the module docstring).  Within a per-point walk the
-    floors are shared: equal (component, z_c, l'_c) keys recur across the
-    box, and nested searches run under the walk's budget.  Outside a walk
-    each call computes its value afresh.
+    when it is bound to their l': they read the whole table from one
+    sublevel walk (see the module docstring).  Otherwise each value is
+    one search on the parent graph: the components have no edges between
+    them, so their floors sum to
+    chi(-l'+l) - min over 0 <= m <= min(z-l, z1) of chi(-l'+l+m).  That
+    search passes the gate at the default budget; its box lies in [0, z].
     """
 
     source = "generic"
@@ -142,68 +134,20 @@ class GenericNaturalOracle(H1Oracle):
     def __init__(self, z, z1, lp: Cycle):
         super().__init__(z, z1)
         lp._same_graph(z)
+        if not is_dual_lattice_member(lp):
+            raise ValidationError(
+                "the generic-natural oracle needs a Chern class in the dual lattice"
+            )
         self.lp = lp
-        self._walk = None
-
-    @contextmanager
-    def walk(self, budget):
-        self._walk = _GenericWalk(self, budget)
-        try:
-            yield
-        finally:
-            self._walk = None
 
     def value(self, l):
-        walk = self._walk or _GenericWalk(self, None)
-        return walk.value(l.int_coeffs())
-
-
-class _GenericWalk:
-    """Scratch state of one generic-oracle walk.
-
-    l' - l is carried in E*-coordinates as integer numerators over the
-    denominator of l': a(l' - l) = a(l') + I l, with a(x) = -I x.  The
-    component split is kept per support of min(z - l, z1) and the
-    component floors per key (component indices, z_c, restricted a).
-    """
-
-    def __init__(self, oracle, budget):
-        self.graph = oracle.z.graph
-        self.budget = budget
-        self.z = oracle.z.int_coeffs()
-        self.z1 = oracle.z1.int_coeffs()
-        self.den = oracle.lp.den
-        self.a = _estar_nums(oracle.lp)
-        self.splits = {}
-        self.floors = {}
-
-    def value(self, point):
-        fixed = [min(a - b, c) for a, b, c in zip(self.z, point, self.z1)]
-        supp = tuple(i for i, f in enumerate(fixed) if f)
-        if not supp:
-            return 0
-        split = self.splits.get(supp)
-        if split is None:
-            split = self.splits[supp] = components(self.graph, supp)
-        den = self.den
-        a = [x + den * y for x, y in zip(self.a, self.graph.intersect(point))]
-        total = 0
-        for idxs in split:
-            z_c = tuple([fixed[i] for i in idxs])
-            key = (idxs, z_c, tuple([a[i] for i in idxs]))
-            f = self.floors.get(key)
-            if f is None:
-                # chi(-l'_c) - min chi(-l'_c + l) over [0, z_c] is -val / 2d
-                lo = (0,) * len(idxs)
-                val, d, _, _ = _minimize(self.graph, den, a, idxs, lo, z_c, self.budget)
-                if val % (2 * d):
-                    raise ValidationError(
-                        "generic-natural oracle produced a non-integer value; "
-                        "the Chern class is not in the dual lattice"
-                    )
-                f = self.floors[key] = -val // (2 * d)
-            total += f
-        return total
+        g, den, point = self.z.graph, self.lp.den, l.int_coeffs()
+        hi = [min(a - b, c) for a, b, c in zip(self.z.nums, point, self.z1.nums)]
+        # E*-numerators of l' - l over den: a(l') + den I l, a(x) = -I x
+        a = [x + den * y for x, y in zip(_estar_nums(self.lp), g.intersect(point))]
+        # chi(-l'+l) - min chi(-l'+l+m) over [0, hi] is -val / 2d
+        val, d, _, _ = _minimize(g, den, a, range(g.n), (0,) * g.n, hi, None)
+        return -val // (2 * d)
 
 
 # -- oracle file format ----------------------------------------------------
@@ -289,7 +233,7 @@ def _generic_sublevel(g, den, ix, P, q, hi, z1, budget):
     return best, best_point, witness
 
 
-def _oracle_walk(g, P, q, hi, scale, oracle, budget):
+def _oracle_walk(g, P, q, hi, scale, oracle):
     """(minimum, argmin, witness) of F(l) = q(l) - scale oracle(l) on
     [0, hi], asking the oracle at each point of one lexicographic pass.
 
@@ -306,18 +250,17 @@ def _oracle_walk(g, P, q, hi, scale, oracle, budget):
         if limit < 0:
             raise ValidationError("oracle value at 0 exceeds the oracle bound")
     base = best = best_point = witness = None
-    with oracle.walk(budget):
-        for point, v in kernels.box_values(P, q, (0,) * g.n, hi, limit):
-            v -= scale * oracle.value(Cycle(g, point))
-            if base is None:  # l = 0 is the first lexicographic point
-                base = best = v
-                best_point = point
-                continue
-            if witness is None and v <= base:
-                witness = point
-            if v < best:
-                best = v
-                best_point = point
+    for point, v in kernels.box_values(P, q, (0,) * g.n, hi, limit):
+        v -= scale * oracle.value(Cycle(g, point))
+        if base is None:  # l = 0 is the first lexicographic point
+            base = best = v
+            best_point = point
+            continue
+        if witness is None and v <= base:
+            witness = point
+        if v < best:
+            best = v
+            best_point = point
     return best, best_point, witness
 
 
@@ -328,16 +271,15 @@ def _evaluate(z, z1, lp, oracle, budget):
     Values are scaled by 2D: the objective at l is chi(-l') + F(l) / (2D)
     with F(l) = q(l) - 2D oracle(l), and the witness is the first point
     l > 0 with F(l) <= F(0).  For the plain generic-natural oracle bound
-    to this l', with l' in L', the component floors sum to
+    to this l', the component floors sum to
     F(l) = min q over [l, l + min(z - l, z1)], so the oracle is not asked:
     :func:`_generic_sublevel` walks {q <= F(0)} once, takes the argmin as
     the smallest corner max(0, k - z1) over the k minimizing q, and the
     witness as the smallest nonzero point of the boxes
     [max(0, k - z1), k], k != 0: the corner when it is nonzero, else e_j
     for the last j with k_j > 0.  Every other oracle (a subclass
-    overriding ``value``, another l', l' outside L') is asked point by
-    point (:func:`_oracle_walk`).  Both paths report the box size as
-    nodes.
+    overriding ``value``, another l') is asked point by point
+    (:func:`_oracle_walk`).  Both paths report the box size as nodes.
     """
     lp._same_graph(z)
     if oracle.z != z or oracle.z1 != z1:
@@ -349,16 +291,12 @@ def _evaluate(z, z1, lp, oracle, budget):
     P, q, d, size = _search_setup(g, lp.den, ix, range(g.n), lo, hi, budget)
     scale = 2 * d
     # read at call time: a tracer may rebind the method on the class
-    if (
-        type(oracle).value is GenericNaturalOracle.value
-        and oracle.lp == lp
-        and is_dual_lattice_member(lp)
-    ):
+    if type(oracle).value is GenericNaturalOracle.value and oracle.lp == lp:
         best, best_point, witness = _generic_sublevel(
             g, lp.den, ix, P, q, hi, z1.int_coeffs(), budget
         )
     else:
-        best, best_point, witness = _oracle_walk(g, P, q, hi, scale, oracle, budget)
+        best, best_point, witness = _oracle_walk(g, P, q, hi, scale, oracle)
     return RelReport(
         dominant=witness is None,
         witness=None if witness is None else Cycle(g, witness),

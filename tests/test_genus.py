@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -125,6 +127,59 @@ def test_floor_per_component_breakdown():
             assert [oz.minimizer[v] for v in names] == [attained[v] for v in names]
             nodes += cert.nodes
         assert oz.nodes == nodes
+
+
+def path_bound(g, z, pairs):
+    """min over increasing paths 0 = x_0 < ... < x_t = z, steps
+    x_{i+1} = x_i + E_v, of sum max(0, chi(-l'+x_i) - chi(-l'+x_{i+1})),
+    by a dynamic programme over the box [0, z]; ``pairs`` holds the
+    (l', E_v).  chi(a + E_v) = chi(a) + 1 - (a, E_v) makes the step
+    (x_i, E_v) - (l', E_v) - 1."""
+    m = g.matrix()
+    hi = z.int_coeffs()
+    strides = [1] * g.n
+    for v in range(g.n - 2, -1, -1):
+        strides[v] = strides[v + 1] * (hi[v + 1] + 1)
+    best = []
+    for x in itertools.product(*[range(h + 1) for h in hi]):
+        steps = [
+            best[-strides[v]]
+            + max(0, sum(a * b for a, b in zip(m[v], x)) - m[v][v] - pairs[v] - 1)
+            for v in range(g.n)
+            if x[v]
+        ]
+        best.append(min(steps) if steps else 0)
+    return best[-1]
+
+
+def test_floor_is_at_most_the_path_bound():
+    """h1(Z, L) is at most the step sum along any increasing path from 0
+    to Z (the exact sequences of the steps E_v = P^1), and the generic
+    floor is an h1 value, so floor <= the least such sum; on rational
+    trees with l' = 0 both are 0."""
+    rng = random.Random(71)
+    cases = rational = 0
+    for g in rng.sample(corpus(), 60):
+        zmin = fundamental_cycle(g)
+        rat = is_rational(g)
+        for z in (zmin, 2 * zmin):
+            if math.prod(c + 1 for c in z.int_coeffs()) > 3000:
+                continue
+            # (E*_v, E_w) = -delta_vw
+            chern = [(Cycle.zero(g), [0] * g.n)] + [
+                (s * estar(g, v), [-s * (w == v) for w in g.names])
+                for v in g.names
+                for s in (1, -1)
+            ]
+            for lp, pairs in chern:
+                floor = interval_floor_line_bundle(z, lp).floor
+                bound = path_bound(g, z, pairs)
+                assert floor <= bound
+                if rat and lp.is_zero:
+                    assert floor == bound == 0
+                    rational += 1
+                cases += 1
+    assert cases >= 1000 and rational >= 100
 
 
 def test_e8_floor_on_the_14m_point_box():

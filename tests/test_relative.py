@@ -31,7 +31,7 @@ from plumblat import (
     relspace_dim,
     restrict_R,
 )
-from plumblat import chimin, relative
+from plumblat import chimin
 
 from conftest import (
     corpus,
@@ -239,11 +239,12 @@ class RecordingGenericOracle(GenericNaturalOracle):
 
 
 def test_generic_oracle_matches_direct_formula():
-    """Inside a relgen_h1 walk, where floors are shared between points,
-    and outside one, every value equals the formula; the walk asks for
-    each box point once."""
+    """Inside a relgen_h1 walk and outside one, every value (one search
+    on the parent graph) equals the sum of component floors, also where
+    min(z - l, z1) has several components; the walk asks for each box
+    point once."""
     rng = random.Random(107)
-    cases = 0
+    cases = split = 0
     for g in rng.sample(corpus(), 60):
         zmin = fundamental_cycle(g)
         z = rng.randint(1, 2) * zmin
@@ -262,10 +263,14 @@ def test_generic_oracle_matches_direct_formula():
         assert len(points) == report.nodes
         for l, v in oracle.seen:
             assert v == direct_generic_value(oracle, l)
+            support = meet(z - l, z1).support()
+            if support and len(restrict_R(lp - l, support)) > 1:
+                split += 1
         for l, v in rng.sample(oracle.seen, 5):
             assert oracle.value(l) == v
         cases += 1
     assert cases >= 10
+    assert split > 0
 
 
 def test_generic_sublevel_walk_matches_the_per_point_walk():
@@ -334,11 +339,10 @@ def test_generic_oracle_for_another_chern_class_is_asked_per_point(monkeypatch):
     assert seen == []
 
 
-def test_chern_class_outside_the_dual_lattice_is_asked_per_point(monkeypatch):
-    """l' outside L' keeps the per-point walk, and with it both of its
-    outcomes: a report when every component floor is an integer (this
-    case), a ValidationError otherwise."""
-    seen = spy_generic_values(monkeypatch)
+def test_chern_class_outside_the_dual_lattice_is_rejected_by_the_generic_oracle():
+    """The generic table is defined for a Chern class l' in L' only: the
+    oracle refuses any other l' when it is built.  The zero oracle still
+    takes it."""
     g = PlumbingGraph(
         [("v0", -1), ("v1", -2), ("v2", -4), ("v3", -1), ("v4", -1)],
         [("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v2", "v4")],
@@ -346,18 +350,9 @@ def test_chern_class_outside_the_dual_lattice_is_asked_per_point(monkeypatch):
     z = Cycle.ones(g)
     z1 = Cycle.basis(g, "v0")
     lp = 2 * Cycle.basis(g, "v0") - Fraction(1, 3) * Cycle.basis(g, "v3")
-    for fn in (relgen_h1, reldom_check):
-        seen.clear()
-        report = fn(z, z1, lp, GenericNaturalOracle(z, z1, lp))
-        assert seen == list(itertools.product(range(2), repeat=5))
-        assert report == relative.RelReport(
-            dominant=False,
-            witness=Cycle.basis(g, "v0"),
-            rel_h1=Fraction(1),
-            argmin=Cycle.zero(g),
-            nodes=32,
-            diagnostics={"oracle_source": "generic"},
-        )
+    with pytest.raises(ValidationError, match="dual lattice"):
+        GenericNaturalOracle(z, z1, lp)
+    assert relgen_h1(z, z1, lp, ZeroOracle(z, z1)).nodes == 32
 
 
 def test_chern_class_on_another_graph_raises():
@@ -376,12 +371,12 @@ def test_generic_oracle_rejects_non_integer_chern_class():
     a2 = graph_a2()
     z = Cycle.ones(a2)
     lp = Cycle(a2, [0, Fraction(1, 3)])  # not in the dual lattice
-    with pytest.raises(ValidationError, match="non-integer"):
+    with pytest.raises(ValidationError, match="dual lattice"):
         relgen_h1(z, z, lp, GenericNaturalOracle(z, z, lp))
 
 
 def test_nested_oracle_searches_get_the_request_budget(monkeypatch):
-    """The generic oracle's component floors pass the budget gate
+    """Every search of a generic-oracle request passes the budget gate
     ``chimin._search_setup`` with the budget of the request."""
     budgets = []
     gate = chimin._search_setup
@@ -535,8 +530,15 @@ def test_box_beyond_the_budget_raises():
     z1 = fundamental_cycle(g)
     z = 2 * z1  # 13 * 7 * 5 * 3 = 1365 box points
     lp = Cycle.zero(g)
+    oracles = (
+        ZeroOracle(z, z1),
+        GenericNaturalOracle(z, z1, lp),
+        # bound to another l': asked per point, each value one search
+        # inside [0, z] at the default budget
+        GenericNaturalOracle(z, z1, estar(g, "r")),
+    )
     for fn in (relgen_h1, reldom_check):
-        for oracle in (ZeroOracle(z, z1), GenericNaturalOracle(z, z1, lp)):
+        for oracle in oracles:
             with pytest.raises(BoxTooLarge) as exc:
                 fn(z, z1, lp, oracle, budget=1364)
             assert (exc.value.required, exc.value.budget) == (1365, 1364)
