@@ -1,22 +1,15 @@
 """Exact linear algebra over the integers and the rationals.
 
-The lattice data of a graph comes from two fraction-free passes over its
-integer intersection matrix (Bareiss 1968), done in Python integers:
-
-* :func:`det_adjugate` is one Gauss-Jordan pass on ``[M | 1]`` that
-  returns ``det M`` and the integer adjugate ``adj M = det M * M^-1``,
-  and checks ``M adj = det 1`` in integers before returning;
-* :func:`bareiss_pivots` is the forward pass alone; its pivots are the
-  leading principal minors, which decide negative definiteness.
-
-``graph.IntersectionData`` stores ``det`` and the integer adjugate, and
-no Fraction inverse.  Every cycle in the dual lattice has a denominator
-dividing ``|det|``.
+:func:`bareiss_pivots` is the forward fraction-free pass (Bareiss 1968)
+over an integer matrix, in Python integers; its pivots are the leading
+principal minors, which decide negative definiteness when a graph is
+built.  The lattice data of a graph (det, adjugate, Z_K) comes from the
+one Gauss-Jordan elimination of the library, ``kernels._factor`` of
+-I, which the certified searches share.  Every cycle in the dual
+lattice has a denominator dividing ``|det|``.
 
 ``mat_mul`` composes the pullback matrices of blow-up chains.  The
-certified searches take nothing else from this module: ``chimin`` and
-``kernels`` set them up in integers, square roots by ``math.isqrt``.
-The Fraction and per-minor routines below (``invert``, ``solve``,
+Fraction and per-minor routines below (``invert``, ``solve``,
 ``mat_vec``, ``identity``, ``leading_minors`` and ``det_bareiss``) have
 no caller in the library; they are the independent references the tests
 compare against, and the benchmark's tracer (``plumbench/spans.py``)
@@ -25,52 +18,6 @@ package.
 """
 
 from fractions import Fraction
-from operator import mul
-
-
-def det_adjugate(m):
-    """``(det, adjugate)`` of a square integer matrix, both exact integers.
-
-    Fraction-free Gauss-Jordan elimination on ``[m | 1]``: after step k
-    every entry is a (k+1)-minor of the augmented matrix, so each
-    division is exact, and at the end the left block is ``d 1`` and the
-    right block is ``d m^-1`` with ``d`` the determinant of the
-    row-exchanged matrix.  Raises ValueError on a singular matrix.
-    """
-    n = len(m)
-    a = [
-        [int(v) for v in row] + [int(i == j) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    width = 2 * n
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        rk = a[k]
-        p = rk[k]
-        for i in range(n):
-            if i == k:
-                continue
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, width):
-                ri[j] = (p * ri[j] - f * rk[j]) // prev
-            ri[k] = 0
-        prev = p
-    det = sign * prev
-    adj = [[sign * v for v in row[n:]] for row in a]
-    cols = list(zip(*adj))
-    for i, row in enumerate(m):
-        for j, col in enumerate(cols):
-            if sum(map(mul, row, col)) != (det if i == j else 0):
-                raise AssertionError("adjugate verification failed")
-    return det, adj
 
 
 def bareiss_pivots(m):

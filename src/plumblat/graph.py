@@ -5,23 +5,24 @@ self-intersection of the corresponding exceptional curve); all genus
 decorations are implicitly zero.  Validation happens at construction
 time: every downstream formula assumes negative definiteness.
 :func:`intersection_data` holds the lattice data in integers: the
-determinant, the adjugate det * I^-1 and Z_K, computed on first use and
-kept on the graph.
+determinant, the adjugate det * I^-1 and Z_K, read off the fraction-free
+factor of -I (``kernels._factor``) on first use and kept on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, neg
 import re
 
 from .errors import (
     EmptySubset,
     GraphSyntaxError,
+    InternalError,
     UnknownVertex,
     ValidationError,
 )
-from . import exactlin
+from . import exactlin, kernels
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
@@ -35,7 +36,7 @@ class PlumbingGraph:
 
     __slots__ = ("names", "euler", "edges", "_index", "_adj", "_hash", "_lattice")
 
-    def __init__(self, vertices, edges, validate=True):
+    def __init__(self, vertices, edges):
         names = tuple(str(n) for n, _ in vertices)
         euler = tuple(int(e) for _, e in vertices)
         for n in names:
@@ -66,8 +67,7 @@ class PlumbingGraph:
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((names, euler, self.edges))
         self._lattice = None  # IntersectionData
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- basic structure ------------------------------------------------
 
@@ -99,7 +99,7 @@ class PlumbingGraph:
         for a vector x of ints or Fractions; a tree has n - 1 edges, so
         this costs O(n)."""
         return [
-            e * xi + sum(x[j] for j in nbrs)
+            e * xi + sum(map(x.__getitem__, nbrs))
             for e, xi, nbrs in zip(self.euler, x, self._adj)
         ]
 
@@ -161,15 +161,27 @@ class IntersectionData:
 
 
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
+    """The lattice data of ``g`` from the factor of P = -I, which is
+    positive definite: |det| = Delta_0 = det P, det I = (-1)^n det P,
+    adj I = (-1)^(n-1) adj P, and Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P
+    by adjunction.  I adj = det 1 is checked column by column, in O(n)
+    each, since a tree has n - 1 edges."""
     data = g._lattice
     if data is None:
-        m = g.matrix()
-        det, adj = exactlin.det_adjugate(m)
-        # Z_K = adj (e + 2) / det by adjunction, as numerators over |det|
-        k = [e + 2 if det > 0 else -e - 2 for e in g.euler]
+        m = tuple(map(tuple, g.matrix()))
+        delta, _, _, adj_p = kernels._factor(tuple(tuple(map(neg, row)) for row in m))
+        if g.n % 2:
+            det, adj = -delta[0], adj_p
+        else:
+            det, adj = delta[0], tuple(tuple(map(neg, row)) for row in adj_p)
+        # I adj^T = det 1 forces adj^T = det I^-1 = adj, so rows will do
+        for v, row in enumerate(adj):
+            col = g.intersect(row)
+            if col.pop(v) != det or any(col):
+                raise InternalError("adjugate check I adj = det 1 failed")
+        k = [e + 2 for e in g.euler]
         data = g._lattice = IntersectionData(
-            tuple(map(tuple, m)), tuple(map(tuple, adj)), det, abs(det),
-            tuple([sum(map(mul, row, k)) for row in adj]),
+            m, adj, det, delta[0], tuple(-sum(map(mul, row, k)) for row in adj_p),
         )
     return data
 
@@ -275,10 +287,10 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
     """Induced subgraph on ``subset``, split into connected components.
 
     Vertex names are preserved, which is the whole vertex correspondence.
-    Components are ordered by their smallest vertex index.  They are not
-    re-validated: ``g`` was validated when it was built, a principal
-    submatrix of a negative-definite form is negative definite, and each
-    component of an induced subgraph of a tree is a tree.
+    Components are ordered by their smallest vertex index.  Each is built
+    by the validated constructor, which cannot fail: a principal submatrix
+    of a negative-definite form is negative definite, and each component
+    of an induced subgraph of a tree is a tree.
     """
     idxs = {g.index(v) for v in subset}
     if not idxs:
@@ -292,5 +304,5 @@ def subgraph(g: PlumbingGraph, subset) -> list[PlumbingGraph]:
             for i, j in g.edges
             if i in comp_set and j in comp_set
         ]
-        out.append(PlumbingGraph(verts, edges, validate=False))
+        out.append(PlumbingGraph(verts, edges))
     return out

@@ -61,19 +61,26 @@ def _factor(P):
     """The walk's data of P (a tuple of row tuples): Delta_0..Delta_n, and
     per depth k the prefix coefficients -2 u_k of M_k and the row a_k,
     where a_k is the first row of adj P[k:, k:] and u_k[j] = a_k . P[k:, j]
-    for j < k, so that M_k = -a_k . q[k:] - 2 u_k . l[:k].
+    for j < k, so that M_k = -a_k . q[k:] - 2 u_k . l[:k]; and last the
+    adjugate adj P = Delta_0 P^-1, as a tuple of row tuples.
 
-    One Bareiss pass over [P | I] with the coordinates reversed gives them
-    all: when coordinate k becomes the pivot, its row holds the
-    determinants of P[k:, k:] with the first column replaced by a column
-    of P (Delta_k, u_k) or of I (a_k).
+    One fraction-free Gauss-Jordan pass (Bareiss) over [P | I] with the
+    coordinates reversed gives them all.  The rows above the pivot take
+    the same exact-division update as the rows below, so a row reaches
+    its own step as in the forward pass: when coordinate k becomes the
+    pivot, its row holds the determinants of P[k:, k:] with the first
+    column replaced by a column of P (Delta_k, u_k) or of I (a_k).  At
+    the end the right block is the adjugate.  This is the library's one
+    elimination of a matrix: ``graph.intersection_data`` reads det, I^-1
+    and Z_K off the factor of -I, which the walks of chi on the same
+    graph then find in the cache.
     """
     n = len(P)
     rows = [
         [P[n - 1 - i][n - 1 - j] for j in range(n)] + [int(i == j) for j in range(n)]
         for i in range(n)
     ]
-    delta, coeffs, adj = [1] * (n + 1), [None] * n, [None] * n
+    delta, coeffs, heads = [1] * (n + 1), [None] * n, [None] * n
     prev = 1
     for s, pivot_row in enumerate(rows):
         p = pivot_row[s]
@@ -82,13 +89,15 @@ def _factor(P):
         k = n - 1 - s
         delta[k] = p
         coeffs[k] = tuple(-2 * pivot_row[n - 1 - j] for j in range(k))
-        adj[k] = tuple(pivot_row[n + s - i] for i in range(s + 1))
-        for row in rows[s + 1:]:
-            f = row[s]
-            for j in range(s + 1, 2 * n):
-                row[j] = (p * row[j] - f * pivot_row[j]) // prev
+        heads[k] = tuple(pivot_row[n + s - i] for i in range(s + 1))
+        tail = pivot_row[s + 1:]
+        for row in rows:
+            if row is not pivot_row:
+                f = row[s]
+                row[s + 1:] = [(p * a - f * b) // prev for a, b in zip(row[s + 1:], tail)]
         prev = p
-    return tuple(delta), tuple(coeffs), tuple(adj)
+    adj = tuple(tuple(reversed(row[n:])) for row in reversed(rows))
+    return tuple(delta), tuple(coeffs), tuple(heads), adj
 
 
 class _Walk:
@@ -99,9 +108,9 @@ class _Walk:
 
     def __init__(self, P, q, lo, hi):
         _check_box(lo, hi)
-        delta, self.coeffs, adj = _factor(tuple(map(tuple, P)))
+        delta, self.coeffs, heads, _ = _factor(tuple(map(tuple, P)))
         self.lo, self.hi, self.delta = lo, hi, delta
-        qa = [sum(map(mul, a, q[k:])) for k, a in enumerate(adj)]
+        qa = [sum(map(mul, a, q[k:])) for k, a in enumerate(heads)]
         self.const = [-x for x in qa]
         # G_0 by running the recursion backward from f(0) = 0
         g = 0

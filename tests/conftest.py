@@ -182,15 +182,15 @@ def small_tree_corpus(max_n=5, euler_range=(-5, -1)):
             shapes = [[(0, 1)]]
         else:
             # labeled trees via Pruefer sequences, one representative per
-            # unlabeled shape (decorated dedup happens below)
+            # unlabeled shape (decorated dedup happens below); Euler number
+            # -n makes the form diagonally dominant, so every shape is valid
             shapes = []
             shape_seen = set()
             for seq in itertools.product(range(n), repeat=n - 2):
                 edges = _pruefer_edges(seq, n)
                 g = PlumbingGraph(
-                    [(f"v{i}", -2) for i in range(n)],
+                    [(f"v{i}", -n) for i in range(n)],
                     [(f"v{i}", f"v{j}") for i, j in edges],
-                    validate=False,
                 )
                 sig = _canonical(g)
                 if sig not in shape_seen:

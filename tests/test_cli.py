@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import plumblat
+from plumblat import InternalError, intersection_data, kernels, parse_graph
 from plumblat.cli import main
 
 A1 = "vertex v -2\n"
@@ -530,6 +531,23 @@ def test_budget_env_below_one_exits_2(gfile, capsys, monkeypatch):
     path = gfile("vertex a -3\n", "m3.txt")
     code, _, _ = run(capsys, "rational", "--graph", path, "--budget", "1")
     assert code == 3
+
+
+def test_internal_error_exits_1(gfile, capsys, monkeypatch):
+    """A corrupted adjugate fails the check I adj = det 1: the library
+    raises InternalError, and the CLI reports it and exits 1."""
+    factor = kernels._factor
+
+    def corrupted(P):
+        delta, coeffs, heads, adj = factor(P)
+        return delta, coeffs, heads, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(kernels, "_factor", corrupted)
+    with pytest.raises(InternalError):
+        intersection_data(parse_graph(A2))
+    code, out, err = run(capsys, "validate", "--graph", gfile(A2))
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: ")
 
 
 def test_python_m_version():

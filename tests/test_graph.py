@@ -143,6 +143,35 @@ def test_not_negative_definite_message(vertices, edges, message):
     )
 
 
+@pytest.mark.parametrize(
+    "vertices,edges,error,message",
+    [
+        ([("a-b", -2)], [], ValidationError, "invalid vertex name 'a-b'"),
+        ([("a", -2), ("a", -3)], [], ValidationError, "duplicate vertex name"),
+        (
+            [("a", -2)],
+            [("a", "b")],
+            UnknownVertex,
+            "edge endpoint 'a' or 'b' not declared",
+        ),
+        ([("a", -2)], [("a", "a")], ValidationError, "self-loop at 'a'"),
+        (
+            [("a", -2), ("b", -2)],
+            [("a", "b"), ("b", "a")],
+            ValidationError,
+            "multi-edge between 'b' and 'a'",
+        ),
+        ([], [], ValidationError, "graph has no vertices"),
+    ],
+)
+def test_constructor_rejects_bad_input(vertices, edges, error, message):
+    """The constructor's own checks, which ``parse_graph`` never reaches
+    because it rejects the same input first."""
+    with pytest.raises(error) as info:
+        PlumbingGraph(vertices, edges)
+    assert str(info.value) == message
+
+
 def test_subgraph_components():
     g = parse_graph(
         "vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c"
@@ -163,17 +192,16 @@ def test_subgraph_errors():
 
 
 def test_induced_subgraphs_validate():
-    """``subgraph`` skips validation of its components; run the full
-    check on each one, for every subset of a sample of corpus trees.
-    The full check makes each component connected; no edge of g may join
-    two of them, and their index tuples are what ``components`` gives."""
+    """``subgraph`` builds its components through the validated
+    constructor, which must accept each one, for every subset of a
+    sample of corpus trees.  The check makes each component connected;
+    no edge of g may join two of them, and their index tuples are what
+    ``components`` gives."""
     rng = random.Random(3)
     for g in rng.sample(corpus(), 300):
         for mask in range(1, 2**g.n):
             subset = [v for i, v in enumerate(g.names) if mask >> i & 1]
             comps = subgraph(g, subset)
-            for comp in comps:
-                comp._validate()
             assert sorted(v for c in comps for v in c.names) == sorted(subset)
             idxs = [tuple(map(g.index, c.names)) for c in comps]
             where = {i: k for k, comp in enumerate(idxs) for i in comp}

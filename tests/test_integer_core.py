@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 
-import pytest
-
 from plumblat import Cycle, chi, exactlin, intersection_data, pairing
 from plumblat.chimin import (
     _shifted_quadratic,
@@ -102,36 +100,24 @@ def sample_cycles(rng, g):
 # -- the Bareiss passes ----------------------------------------------------
 
 
-def test_det_adjugate_matches_fraction_inverse_on_trees():
-    for g in _trees(1, 150):
+def test_intersection_data_matches_fraction_inverse_on_trees():
+    """det, |L'/L|, I^-1 = adjugate / det and Z_K = zk_nums / |det|, all
+    read off the Gauss-Jordan factor of -I, against the Fraction
+    references, on corpus trees and random trees of up to 40 vertices;
+    the signs (-1)^n need both parities of n."""
+    rng = random.Random(1)
+    trees = rng.sample(corpus(), 150) + [random_tree(rng, max_n=40) for _ in range(10)]
+    assert {g.n % 2 for g in trees} == {0, 1}
+    assert max(g.n for g in trees) > 20
+    for g in trees:
         m = g.matrix()
-        det, adj = exactlin.det_adjugate(m)
-        assert det == exactlin.det_bareiss(m)
-        inv = exactlin.invert(m)
-        assert [[Fraction(a, det) for a in row] for row in adj] == inv
+        det = exactlin.det_bareiss(m)
         data = intersection_data(g)
         assert data.det == det and data.group_order == abs(det)
-        assert data.adjugate == tuple(tuple(row) for row in adj)
-
-
-def test_det_adjugate_with_row_exchanges_and_singular():
-    rng = random.Random(2)
-    singular = 0
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        det = exactlin.det_bareiss(m)
-        if det == 0:
-            singular += 1
-            with pytest.raises(ValueError):
-                exactlin.det_adjugate(m)
-            continue
-        got, adj = exactlin.det_adjugate(m)
-        assert got == det
         inv = exactlin.invert(m)
-        assert [[Fraction(a, det) for a in row] for row in adj] == inv
-    assert singular > 0
-    assert exactlin.det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
+        zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
+        assert [Fraction(x, abs(det)) for x in data.zk_nums] == zk
 
 
 def test_pivots_are_leading_minors():
@@ -195,7 +181,7 @@ def old_lower_bounded_certificates(g):
     ceil(sqrt(2 level (-I^-1)_vv)) and box_hi = max(floor(Z_K/2) + r, l0)."""
     m = g.matrix()
     # I^-1 as Fractions from the adjugate, which
-    # test_det_adjugate_matches_fraction_inverse_on_trees checks
+    # test_intersection_data_matches_fraction_inverse_on_trees checks
     data = intersection_data(g)
     inv = [[Fraction(a, data.det) for a in row] for row in data.adjugate]
     zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])

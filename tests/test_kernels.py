@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plumblat import kernels
+from plumblat import exactlin, kernels
 from plumblat.chimin import _shifted_quadratic
 from plumblat.cycles import Cycle
 from plumblat.kernels import box_values
@@ -212,6 +212,12 @@ def test_enumerator_matches_brute_force(n):
         else:
             P = gram_instance(rng, n)
             q = [rng.randint(-20, 20) for _ in range(n)]
+        # the adjugate of the Gauss-Jordan factor: P adj = Delta_0 1
+        delta, _, _, adj = kernels._factor(tuple(map(tuple, P)))
+        det = exactlin.det_bareiss(P)
+        assert delta[0] == det
+        assert exactlin.mat_mul(P, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert [[Fraction(a, det) for a in row] for row in adj] == exactlin.invert(P)
         lo, hi = random_box(rng, n, 1500 if n < 6 else 800)
         if trial % 4 >= 2:
             q = tied_q(rng, P, lo, hi)
