@@ -88,4 +88,9 @@ from .surgery import (
     z_r,
 )
 
+# No module of the library uses exactlin, but the benchmark's tracer
+# (plumbench/spans.py) finds its targets in sys.modules, so a traced run
+# needs it loaded; this import goes when the tracer drops those targets.
+from . import exactlin  # noqa: F401
+
 __version__ = "0.1.0"

@@ -1,49 +1,19 @@
 """Exact linear algebra over the integers and the rationals.
 
-:func:`bareiss_pivots` is the forward fraction-free pass (Bareiss 1968)
-over an integer matrix, in Python integers; its pivots are the leading
-principal minors, which decide negative definiteness when a graph is
-built.  The lattice data of a graph (det, adjugate, Z_K) comes from the
-one Gauss-Jordan elimination of the library, ``kernels._factor`` of
--I, which the certified searches share.  Every cycle in the dual
-lattice has a denominator dividing ``|det|``.
-
-``mat_mul`` composes the pullback matrices of blow-up chains.  The
-Fraction and per-minor routines below (``invert``, ``solve``,
-``mat_vec``, ``identity``, ``leading_minors`` and ``det_bareiss``) have
-no caller in the library; they are the independent references the tests
-compare against, and the benchmark's tracer (``plumbench/spans.py``)
-binds some of them by name.  No floating point is used anywhere in the
-package.
+No module of the library calls these routines.  A graph is validated by
+one leaf-to-root pass of subtree determinants (``graph._forest_dets``),
+its lattice data (det, adjugate, Z_K) comes from the one Gauss-Jordan
+elimination of the library, ``kernels._factor`` of -I, and a blow-up
+chain writes its pullback rows down directly.  The Fraction and integer
+routines below (``invert``, ``solve``, ``mat_vec``, ``identity``,
+``mat_mul``, ``leading_minors`` and ``det_bareiss``) are the independent
+references the tests compare against.  The package imports this module
+only because the benchmark's tracer (``plumbench/spans.py``) looks its
+targets up among the loaded modules.  No floating point is used anywhere
+in the package.
 """
 
 from fractions import Fraction
-
-
-def bareiss_pivots(m):
-    """Leading principal minors of a square integer matrix, k = 1..n.
-
-    They are the pivots of the forward Bareiss pass without row
-    exchanges.  The pass stops at the first zero minor, which is then
-    the last entry of the returned list.
-    """
-    n = len(m)
-    a = [[int(v) for v in row] for row in m]
-    pivots = []
-    prev = 1
-    for k in range(n):
-        rk = a[k]
-        p = rk[k]
-        pivots.append(p)
-        if p == 0:
-            break
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (p * ri[j] - f * rk[j]) // prev
-        prev = p
-    return pivots
 
 
 def identity(n):

@@ -209,7 +209,7 @@ def generic_ez(z: Cycle, subset, budget: int | None = None) -> int:
         raise PreconditionFailed("subset must be nonempty")
     if len(chosen) == g.n:
         raise PreconditionFailed("subset complement must be nonempty")
-    rest_names = [n for n in g.names if n not in set(subset)]
+    rest_names = [n for i, n in enumerate(g.names) if i not in chosen]
     term1 = generic_h1_oz_floor(z, budget).floor
     term2 = generic_h1_oz_floor(restrict_cycle(z, rest_names), budget).floor
     return int(term1 - term2)

@@ -3,7 +3,8 @@
 A plumbing graph is a tree whose vertices carry an Euler number (the
 self-intersection of the corresponding exceptional curve); all genus
 decorations are implicitly zero.  Validation happens at construction
-time: every downstream formula assumes negative definiteness.
+time, by one leaf-to-root pass of subtree determinants: every downstream
+formula assumes negative definiteness.
 :func:`intersection_data` holds the lattice data in integers: the
 determinant, the adjugate det * I^-1 and Z_K, read off the fraction-free
 factor of -I (``kernels._factor``) on first use and kept on the graph.
@@ -12,6 +13,7 @@ factor of -I (``kernels._factor``) on first use and kept on the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import mul, neg
 import re
 
@@ -22,9 +24,46 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from . import exactlin, kernels
+from . import kernels
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+
+
+def _forest_dets(euler, adj, k):
+    """The determinant D_v of -I on every rooted subtree of the forest
+    that the first k vertices induce, and the roots of its trees (each
+    the smallest index of its tree).  One depth-first pass finds the
+    trees; then, children first and without division,
+    D_v = -e_v R_v - S_v, where R_v is the product of the children's D
+    and S_v = sum over children c of R_c times the other children's D."""
+    seen = [False] * k
+    parent = [-1] * k
+    order = []
+    roots = []
+    for r in range(k):
+        if seen[r]:
+            continue
+        roots.append(r)
+        seen[r] = True
+        stack = [r]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in adj[i]:
+                if j < k and not seen[j]:
+                    seen[j] = True
+                    parent[j] = i
+                    stack.append(j)
+    dets = [0] * k
+    r_prod = [1] * k
+    s_sum = [0] * k
+    for v in reversed(order):
+        d = dets[v] = -euler[v] * r_prod[v] - s_sum[v]
+        p = parent[v]
+        if p >= 0:
+            s_sum[p] = s_sum[p] * d + r_prod[v] * r_prod[p]
+            r_prod[p] *= d
+    return dets, roots
 
 
 class PlumbingGraph:
@@ -104,6 +143,12 @@ class PlumbingGraph:
         ]
 
     def _validate(self):
+        """A tree whose form I is negative definite, by Sylvester's
+        criterion in a children-first order: every prefix of it is a union
+        of whole rooted subtrees, so the test is that every rooted-subtree
+        determinant D_v of -I is positive.  Only on failure are the leading
+        principal minors in declaration order computed, O(n^2), to name the
+        first with the wrong sign."""
         n = self.n
         if n == 0:
             raise ValidationError("graph has no vertices")
@@ -112,23 +157,18 @@ class PlumbingGraph:
                 f"not a tree: {n} vertices need {n - 1} edges, "
                 f"got {len(self.edges)}"
             )
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        while stack:
-            i = stack.pop()
-            for j in self._adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        if not all(seen):
+        dets, roots = _forest_dets(self.euler, self._adj, n)
+        if len(roots) > 1:
             raise ValidationError("not a tree: graph is disconnected")
-        minors = exactlin.bareiss_pivots(self.matrix())
-        for k, d in enumerate(minors, start=1):
-            if (-1) ** k * d <= 0:
+        if min(dets) > 0:
+            return
+        for k in range(1, n + 1):
+            dets, roots = _forest_dets(self.euler, self._adj, k)
+            det = prod(map(dets.__getitem__, roots))  # of -I, = (-1)^k minor
+            if det <= 0:
                 raise ValidationError(
                     f"not negative definite: leading principal minor "
-                    f"{k} is {d}"
+                    f"{k} is {(-1) ** k * det}"
                 )
 
     # -- value semantics ------------------------------------------------

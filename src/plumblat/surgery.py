@@ -3,7 +3,9 @@
 A generic-point blow-up hangs a fresh -1 vertex on one curve and drops
 that curve's Euler number by one; an intersection-point blow-up
 subdivides an edge.  Both extend to a pairing-preserving pullback on
-cycles, and chains of blow-ups compose.  The derived cycles used by the
+cycles.  A chain of k blow-ups is one construction: its graph and its
+pullback rows are written down along the chain, with no intermediate
+graph and no matrix product.  The derived cycles used by the
 reduction arguments (pullback minus distance-weighted new vertices, and
 that minus the last -1 curve) are provided as separate operations.
 """
@@ -22,7 +24,6 @@ from .errors import (
 )
 from .graph import PlumbingGraph
 from .cycles import Cycle, restrict_cycle
-from . import exactlin
 
 
 @dataclass(frozen=True)
@@ -56,92 +57,65 @@ def _fresh_name(taken, base, k):
     return name
 
 
-def _distances(g: PlumbingGraph, original_names):
-    """Graph distance of every vertex to the original vertex set."""
-    from collections import deque
-
-    dist = {n: (0 if n in original_names else None) for n in g.names}
-    queue = deque(n for n in g.names if dist[n] == 0)
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def _finalize(original, steps):
-    """Assemble a BlowupResult from single-step data.
-
-    ``steps`` is a list of (graph_after, new_name, matrix_rows) where the
-    matrix maps the previous graph's cycles to the new one.
-    """
-    new_graph, _, _ = steps[-1]
-    mat = steps[0][2]
-    for _, _, m in steps[1:]:
-        mat = exactlin.mat_mul(m, mat)
-    original_names = set(original.names)
-    dist = _distances(new_graph, original_names)
-    new_vertices = tuple(
-        (name, dist[name]) for _, name, _ in steps
-    )
-    return BlowupResult(
-        original=original,
-        new_graph=new_graph,
-        old_to_new={n: n for n in original.names},
-        new_vertices=new_vertices,
-        matrix=tuple(tuple(row) for row in mat),
-    )
-
-
-def _step_generic(g: PlumbingGraph, u, name):
-    """One generic-point blow-up of the curve u; returns step data."""
+def _blowup(g: PlumbingGraph, u, w, k):
+    """k blow-ups in one construction: at a generic point of u and then of
+    each newest curve (w is None), or at the point u-w and then at each
+    new intersection point on u's side.  Each new curve's pullback row is
+    the sum of the rows of the curves through its point, which lose 1 from
+    their Euler numbers.  The new curves form a path from u (to w), so a
+    generic chain has rows e_u and distances 1..k, and an edge chain rows
+    i e_u + e_w and distances min(i, k + 1 - i)."""
+    if k < 1:
+        raise PreconditionFailed("chain length must be >= 1")
     ui = g.index(u)
-    verts = [
-        (n, e - 1 if i == ui else e)
-        for i, (n, e) in enumerate(zip(g.names, g.euler))
-    ]
-    verts.append((name, -1))
-    edges = [(g.names[i], g.names[j]) for i, j in g.edges]
-    edges.append((u, name))
-    new_graph = PlumbingGraph(verts, edges)
+    at = [ui]
+    key = None
+    if w is not None:
+        wi = g.index(w)
+        key = (min(ui, wi), max(ui, wi))
+        if key not in g.edges:
+            raise NotAnEdge(f"{u!r}-{w!r} is not an edge")
+        at.append(wi)
     n = g.n
+    names = list(g.names)
+    euler = list(g.euler)
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows.append([int(j == ui) for j in range(n)])
-    return new_graph, name, rows
-
-
-def _step_edge(g: PlumbingGraph, u, w, name):
-    """One intersection-point blow-up of the edge u-w; returns step data."""
-    ui, wi = g.index(u), g.index(w)
-    key = (min(ui, wi), max(ui, wi))
-    if key not in g.edges:
-        raise NotAnEdge(f"{u!r}-{w!r} is not an edge")
-    verts = [
-        (n, e - 1 if i in (ui, wi) else e)
-        for i, (n, e) in enumerate(zip(g.names, g.euler))
-    ]
-    verts.append((name, -1))
-    edges = [
-        (g.names[i], g.names[j]) for i, j in g.edges if (i, j) != key
-    ]
-    edges.extend([(u, name), (name, w)])
-    new_graph = PlumbingGraph(verts, edges)
-    n = g.n
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows.append([int(j in (ui, wi)) for j in range(n)])
-    return new_graph, name, rows
+    taken = set(names)
+    for i in range(1, k + 1):
+        name = _fresh_name(taken, u, i)
+        taken.add(name)
+        for c in at:
+            euler[c] -= 1
+        rows.append(list(map(sum, zip(*(rows[c] for c in at)))))
+        names.append(name)
+        euler.append(-1)
+        at[-1] = len(names) - 1  # the next point is on the newest curve
+    new = names[n:]
+    if w is None:
+        path = [u, *new]
+        dist = range(1, k + 1)
+    else:
+        path = [u, *reversed(new), w]
+        dist = [min(i, k + 1 - i) for i in range(1, k + 1)]
+    edges = [(g.names[i], g.names[j]) for i, j in g.edges if (i, j) != key]
+    edges += zip(path, path[1:])
+    return BlowupResult(
+        original=g,
+        new_graph=PlumbingGraph(list(zip(names, euler)), edges),
+        old_to_new={v: v for v in g.names},
+        new_vertices=tuple(zip(new, dist)),
+        matrix=tuple(map(tuple, rows)),
+    )
 
 
 def blowup_generic(g: PlumbingGraph, u) -> BlowupResult:
     """Blow up the curve u at a generic point."""
-    return blowup_chain(g, u, 1)
+    return _blowup(g, u, None, 1)
 
 
 def blowup_edge(g: PlumbingGraph, u, w) -> BlowupResult:
     """Blow up the intersection point of the curves u and w."""
-    return blowup_edge_chain(g, u, w, 1)
+    return _blowup(g, u, w, 1)
 
 
 def blowup_chain(g: PlumbingGraph, u, k: int) -> BlowupResult:
@@ -150,36 +124,13 @@ def blowup_chain(g: PlumbingGraph, u, k: int) -> BlowupResult:
     Produces a chain hanging off u with distances 1..k; the last vertex
     is the only remaining -1 curve of the chain.
     """
-    if k < 1:
-        raise PreconditionFailed("chain length must be >= 1")
-    g.index(u)
-    steps = []
-    cur = g
-    at = u
-    for i in range(1, k + 1):
-        name = _fresh_name(set(cur.names), u, i)
-        step = _step_generic(cur, at, name)
-        steps.append(step)
-        cur = step[0]
-        at = name
-    return _finalize(g, steps)
+    return _blowup(g, u, None, k)
 
 
 def blowup_edge_chain(g: PlumbingGraph, u, w, count: int) -> BlowupResult:
     """Blow up the intersection point of u and w, then repeatedly the new
     intersection point on u's side, ``count`` times total."""
-    if count < 1:
-        raise PreconditionFailed("chain length must be >= 1")
-    steps = []
-    cur = g
-    other = w
-    for i in range(1, count + 1):
-        name = _fresh_name(set(cur.names), u, i)
-        step = _step_edge(cur, u, other, name)
-        steps.append(step)
-        cur = step[0]
-        other = name
-    return _finalize(g, steps)
+    return _blowup(g, u, w, count)
 
 
 # -- derived cycles --------------------------------------------------------

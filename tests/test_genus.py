@@ -343,3 +343,13 @@ def test_generic_ez():
     for bad in ((-1, 0), (0, -1)):
         with pytest.raises(PreconditionFailed, match="nonnegative"):
             ez_with_oracle(*bad)
+
+
+def test_generic_ez_reads_a_subset_iterator_once():
+    """The subset may be any iterable: a generator is used up by the first
+    pass over it, and the restricted term must still leave out its
+    vertices."""
+    t237 = graph_t237()
+    z = 3 * fundamental_cycle(t237)
+    assert generic_ez(z, ["c"]) == 1
+    assert generic_ez(z, (v for v in ["c"])) == 1

@@ -91,15 +91,47 @@ def test_roundtrip_serialization():
         assert parse_graph(serialize_graph(g)) == g
 
 
+def _random_form(rng, n, top=0):
+    """A random tree on n vertices with Euler numbers in [-4, top],
+    declared in shuffled order, so that a prefix of the declaration is a
+    forest."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    verts = [(f"v{i}", rng.randint(-4, top)) for i in range(n)]
+    edges = [(f"v{labels[i]}", f"v{labels[rng.randrange(i)]}") for i in range(1, n)]
+    return verts, edges
+
+
 def test_definiteness_checks_agree():
-    """The pivots of the one Bareiss pass are the leading minors, and
-    they alternate in sign on random accepted trees."""
+    """Construction succeeds iff the leading principal minors of I
+    alternate in sign, and otherwise names the first minor with the wrong
+    sign, on random trees that are mostly not negative definite; the
+    large ones also draw from [-4, -1], where some are."""
     rng = random.Random(11)
-    for _ in range(200):
-        g = random_tree(rng, max_n=8, euler_range=(-12, -1))
-        minors = exactlin.leading_minors(g.matrix())
-        assert all((-1) ** k * d > 0 for k, d in enumerate(minors, 1))
-        assert exactlin.bareiss_pivots(g.matrix()) == minors
+    shapes = [(rng.randint(1, 12), 0) for _ in range(1500)]
+    shapes += [(rng.randint(13, 40), top) for top in (0, -1) for _ in range(20)]
+    accepted = []
+    for n, top in shapes:
+        verts, edges = _random_form(rng, n, top)
+        m = [[0] * n for _ in range(n)]
+        for i, (_, e) in enumerate(verts):
+            m[i][i] = e
+        for a, b in edges:
+            i, j = int(a[1:]), int(b[1:])
+            m[i][j] = m[j][i] = 1
+        minors = exactlin.leading_minors(m)
+        bad = next(((k, d) for k, d in enumerate(minors, 1) if (-1) ** k * d <= 0), None)
+        if bad is None:
+            PlumbingGraph(verts, edges)
+            accepted.append(n)
+        else:
+            with pytest.raises(ValidationError) as err:
+                PlumbingGraph(verts, edges)
+            assert str(err.value) == (
+                f"not negative definite: leading principal minor {bad[0]} is {bad[1]}"
+            )
+    assert 100 < len(accepted) < len(shapes) - 100
+    assert max(accepted) > 12
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 """Differential tests of the integer lattice core.
 
-The Bareiss passes, the integer pairing, chi, the shifted quadratic, the
-lower-bounded search box and the integer E*-coordinates are compared with
-the plain Fraction formulas they replace: Gauss-Jordan inversion,
-determinants of leading submatrices, the matrix pairing, Z_K by solving the
-adjunction equations, level and radii of the box in Fractions, and the dual
-base as the columns of -I^-1.
+The lattice data of the fraction-free factor, the integer pairing, chi,
+the shifted quadratic, the lower-bounded search box and the integer
+E*-coordinates are compared with the plain Fraction formulas they replace:
+Gauss-Jordan inversion, Bareiss determinants, the matrix pairing, Z_K by
+solving the adjunction equations, level and radii of the box in Fractions,
+and the dual base as the columns of -I^-1.
 """
 
 import random
@@ -97,7 +97,7 @@ def sample_cycles(rng, g):
     ]
 
 
-# -- the Bareiss passes ----------------------------------------------------
+# -- lattice data ------------------------------------------------------------
 
 
 def test_intersection_data_matches_fraction_inverse_on_trees():
@@ -118,19 +118,6 @@ def test_intersection_data_matches_fraction_inverse_on_trees():
         assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
         zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
         assert [Fraction(x, abs(det)) for x in data.zk_nums] == zk
-
-
-def test_pivots_are_leading_minors():
-    for g in _trees(3, 150, max_n=8):
-        m = g.matrix()
-        assert exactlin.bareiss_pivots(m) == exactlin.leading_minors(m)
-    rng = random.Random(4)
-    for _ in range(400):
-        n = rng.randint(1, 6)
-        m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        minors = exactlin.leading_minors(m)
-        stop = next((k for k, d in enumerate(minors) if d == 0), n - 1)
-        assert exactlin.bareiss_pivots(m) == minors[: stop + 1]
 
 
 # -- chi, pairing and the shifted quadratic ----------------------------------

@@ -6,6 +6,7 @@ from plumblat import (
     Cycle,
     NegativeCoefficient,
     NotAnEdge,
+    PlumbingGraph,
     PreconditionFailed,
     anticanonical_cycle,
     blowup_chain,
@@ -19,6 +20,7 @@ from plumblat import (
     z_new,
     z_r,
 )
+from plumblat import exactlin
 
 from conftest import graph_a1, graph_a2, random_rat_cycle, random_tree
 
@@ -77,6 +79,55 @@ def test_blowup_chain_two_steps():
     assert eulers[w1] == -2
     assert eulers[w2] == -1
     assert [d for _, d in b.new_vertices] == [1, 2]
+
+
+def _edge_names(g):
+    return {frozenset((g.names[i], g.names[j])) for i, j in g.edges}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 40, 200])
+def test_chains_in_closed_form(k):
+    """A generic chain at u has pullback rows e_u, Euler numbers
+    e_u - 1, -2, ..., -2, -1 and distances 1..k; an edge chain at u-w has
+    rows i e_u + e_w, Euler numbers e_u - k, e_w - 1, -2, ..., -2, -1, the
+    new curves on a path from u to w in reverse order and distances
+    min(i, k + 1 - i).  Fresh names skip a taken one, and |det| is kept."""
+    g = PlumbingGraph(
+        [("c", -2), ("p", -2), ("q", -2), ("c_b2", -2)],
+        [("c", "p"), ("c", "q"), ("c", "c_b2")],
+    )
+    fresh = [f"c_b{i}" + "_" * (i == 2) for i in range(1, k + 1)]
+    unit = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    e_c, e_p = unit[0], unit[1]
+    det = abs(exactlin.det_bareiss(g.matrix()))
+    assert det == 4
+
+    b = blowup_chain(g, "c", k)
+    h = b.new_graph
+    assert h.names == g.names + tuple(fresh)
+    assert h.euler == (-3, -2, -2, -2) + (-2,) * (k - 1) + (-1,)
+    path = ["c", *fresh]
+    assert _edge_names(h) == _edge_names(g) | set(map(frozenset, zip(path, path[1:])))
+    assert b.matrix == tuple(unit) + (e_c,) * k
+    assert b.new_vertices == tuple(zip(fresh, range(1, k + 1)))
+    assert b.old_to_new == {v: v for v in g.names}
+    assert abs(exactlin.det_bareiss(h.matrix())) == det
+
+    b = blowup_edge_chain(g, "c", "p", k)
+    h = b.new_graph
+    assert h.names == g.names + tuple(fresh)
+    assert h.euler == (-2 - k, -3, -2, -2) + (-2,) * (k - 1) + (-1,)
+    path = ["c", *reversed(fresh), "p"]
+    assert _edge_names(h) == (_edge_names(g) - {frozenset("cp")}) | set(
+        map(frozenset, zip(path, path[1:]))
+    )
+    rows = tuple(tuple(i * a + b for a, b in zip(e_c, e_p)) for i in range(1, k + 1))
+    assert b.matrix == tuple(unit) + rows
+    assert b.new_vertices == tuple(
+        (name, min(i, k + 1 - i)) for i, name in enumerate(fresh, 1)
+    )
+    assert b.old_to_new == {v: v for v in g.names}
+    assert abs(exactlin.det_bareiss(h.matrix())) == det
 
 
 def test_chain_length_must_be_positive():

@@ -4,6 +4,7 @@ a traced benchmark run breaks; this test fails first instead."""
 
 import importlib
 import os
+import subprocess
 import sys
 
 import pytest
@@ -103,3 +104,25 @@ def test_traced_generic_oracle_run_counts(spans):
         assert metrics["kernels.min_quadratic_box.calls"] > 1
         counts.append(metrics["relative.GenericNaturalOracle.value.calls"])
     assert counts == [0, size]
+
+
+def test_tracer_installs_after_the_worker_imports():
+    """plumbench/worker.py imports only plumblat, chimin and kernels before
+    it installs the tracer, which looks every target's module up in
+    sys.modules.  The tests above import each module themselves, so only
+    a fresh interpreter shows a target module that nothing loads."""
+    src = os.path.dirname(os.path.dirname(plumblat.__file__))
+    code = (
+        "import plumblat\n"
+        "from plumblat import chimin, kernels\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "tracer.uninstall()\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, BENCH]))
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
