@@ -7,8 +7,9 @@ real lattice, which is what makes the certified bounding box for the
 unbounded minimization possible: the level set through any feasible value
 is an ellipsoid with exactly computable coordinate extents.  The
 lower-bounded minimization searches the box of the level through a
-feasible start; Artin's rationality test walks the box of the level
-through the origin once, for its points with chi <= 0.
+feasible start; Artin's rationality test takes the least chi over the
+nonzero points of the box of the level through the origin, by one
+leaf-to-root min-sum pass over the tree.
 """
 
 from __future__ import annotations
@@ -142,15 +143,23 @@ def _shifted_quadratic(g: PlumbingGraph, den: int, ix, idxs):
     return P, q, d
 
 
-def _search_setup(g, den, ix, idxs, lo, hi, budget):
-    """The budget gate of every certified search of l -> chi(x0 + l) over
-    the box [lo, hi] on ``idxs``: raises BoxTooLarge when the box has more
-    points than the budget (DEFAULT_BUDGET when None), else returns
-    (P, q, d, size) with (P, q, d) from :func:`_shifted_quadratic`."""
+def _budget_gate(lo, hi, budget):
+    """The budget gate of every certified search: raises BoxTooLarge when
+    the box [lo, hi] has more points than the budget (DEFAULT_BUDGET when
+    None), else returns its size."""
     size = kernels.box_size(lo, hi)
     budget = DEFAULT_BUDGET if budget is None else budget
     if size > budget:
         raise BoxTooLarge(size, budget)
+    return size
+
+
+def _search_setup(g, den, ix, idxs, lo, hi, budget):
+    """The set-up of a certified search of l -> chi(x0 + l) over the box
+    [lo, hi] on ``idxs``: the box passes :func:`_budget_gate`, and the
+    result is (P, q, d, size) with (P, q, d) from
+    :func:`_shifted_quadratic`."""
+    size = _budget_gate(lo, hi, budget)
     P, q, d = _shifted_quadratic(g, den, ix, idxs)
     return P, q, d, size
 
@@ -249,6 +258,64 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     )
 
 
+def _artin_min(g: PlumbingGraph, hi):
+    """The least 2 chi(l) over the nonzero integer l in the box [0, hi], or
+    None when the box holds only the origin.
+
+    2 chi(l) = sum_v ((e_v + 2) l_v - e_v l_v^2) - 2 sum_{uv in edges} l_u l_v
+    is a sum of vertex and edge terms on the tree, so one leaf-to-root
+    min-sum pass (nonserial dynamic programming, Bertele-Brioschi) finds it.
+    The table F_v of vertex v holds, for 0 <= t <= hi_v, the least 2 chi of
+    the subtree of v with l_v = t, at t = 0 over the nonzero points of the
+    subtree only.  Let N_c = min F_c.  A child c adds to F_v(s), s >= 1, the
+    message min_t (G_c(t) - 2 s t), where G_c(0) = min(0, F_c(0)) also
+    counts the all-zero subtree and G_c = F_c elsewhere.  At s = 0 some
+    child must be nonzero, so F_v(0) is the sum over the children of
+    min(0, N_c) plus the least max(N_c, 0).
+
+    A message is the lower envelope of one line per t, and its minimizing
+    t grows with s along the lower convex hull of the points (t, G_c(t)),
+    so it costs O(hi_c + hi_v) steps.  The tables hold sum (hi_v + 1)
+    values.
+    """
+    tables = [
+        [(e + 2) * t - e * t * t for t in range(h + 1)] for e, h in zip(g.euler, hi)
+    ]
+    order, parent = g._rooted_tree()
+    free = [0] * g.n  # sum over the children of min(0, N_c)
+    gap = [None] * g.n  # least max(N_c, 0) over the children
+    for c in reversed(order):
+        f = tables[c]
+        tables[c] = None
+        f[0] = None if gap[c] is None else free[c] + gap[c]
+        least = min((x for x in f if x is not None), default=None)
+        v = parent[c]
+        if v < 0:
+            return least
+        if least is None:
+            continue  # the subtree holds only its zero point
+        free[v] += min(0, least)
+        gap[v] = max(least, 0) if gap[v] is None else min(gap[v], max(least, 0))
+        f[0] = 0 if f[0] is None else min(0, f[0])
+        hull = []
+        for t, y in enumerate(f):
+            while len(hull) > 1:
+                (t0, y0), (t1, y1) = hull[-2], hull[-1]
+                if (y1 - y0) * (t - t1) < (y - y1) * (t1 - t0):
+                    break
+                hull.pop()
+            hull.append((t, y))
+        fv, j = tables[v], 0
+        for s in range(1, len(fv)):
+            while j + 1 < len(hull):
+                (t0, y0), (t1, y1) = hull[j], hull[j + 1]
+                if y1 - y0 > 2 * s * (t1 - t0):
+                    break
+                j += 1
+            t, y = hull[j]
+            fv[s] += y - 2 * s * t
+
+
 def is_rational(g: PlumbingGraph, budget: int | None = None) -> bool:
     """Artin's rationality criterion: chi(l) >= 1 for every effective
     nonzero cycle.
@@ -256,23 +323,21 @@ def is_rational(g: PlumbingGraph, budget: int | None = None) -> bool:
     chi is an integer on integral cycles and chi(0) = 0, so this holds iff
     the origin is the only l >= 0 with chi(l) <= 0.  That sublevel set lies
     in the box [0, hi] of the level set through the origin
-    (:func:`_level_box`), which one certified walk of 2 chi (P = -I,
-    q = e + 2) at bound 0 searches: the origin comes first, and any second
-    point refutes rationality.  The box passes the one budget gate.
+    (:func:`_level_box`), which passes the one budget gate; the least 2 chi
+    over the nonzero points of the box (:func:`_artin_min`) decides.
 
     The independent chi(Z_min) = 1 check (Laufer) must agree; a mismatch
     is an implementation bug.
     """
     lo = (0,) * g.n
     hi = _level_box(g, lo)[3]
-    P, q, _, _ = _search_setup(g, 1, lo, range(g.n), lo, hi, budget)
-    walk = kernels.box_values(P, q, lo, hi, 0)
-    next(walk)  # the origin
-    second = next(walk, None)
+    _budget_gate(lo, hi, budget)
+    least = _artin_min(g, hi)
+    rational = least is None or least > 0
     chi_zmin = chi(fundamental_cycle(g))
-    if (second is None) != (chi_zmin == 1):
+    if rational != (chi_zmin == 1):
         raise InternalError(
-            "rationality cross-check disagreement: second (point, 2 chi) "
-            f"with chi <= 0 = {second}, chi(Z_min) = {chi_zmin}"
+            "rationality cross-check disagreement: least 2 chi over the "
+            f"nonzero l >= 0 = {least}, chi(Z_min) = {chi_zmin}"
         )
-    return second is None
+    return rational

@@ -2,9 +2,9 @@
 
 No module of the library calls these routines.  A graph is validated by
 one leaf-to-root pass of subtree determinants (``graph._forest_dets``),
-its lattice data (det, adjugate, Z_K) comes from the one Gauss-Jordan
-elimination of the library, ``kernels._factor`` of -I, and a blow-up
-chain writes its pullback rows down directly.  The Fraction and integer
+its lattice data (det, adjugate, Z_K) comes from a rerooted pass of
+branch determinants over the same tree (``graph._tree_adjugate``), and a
+blow-up chain writes its pullback rows down directly.  The Fraction and integer
 routines below (``invert``, ``solve``, ``mat_vec``, ``identity``,
 ``mat_mul``, ``leading_minors`` and ``det_bareiss``) are the independent
 references the tests compare against.  The package imports this module

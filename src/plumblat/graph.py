@@ -6,8 +6,9 @@ decorations are implicitly zero.  Validation happens at construction
 time, by one leaf-to-root pass of subtree determinants: every downstream
 formula assumes negative definiteness.
 :func:`intersection_data` holds the lattice data in integers: the
-determinant, the adjugate det * I^-1 and Z_K, read off the fraction-free
-factor of -I (``kernels._factor``) on first use and kept on the graph.
+determinant, the adjugate det * I^-1 and Z_K, from one rerooted pass of
+branch determinants over the same tree (no elimination of a matrix), on
+first use and kept on the graph.
 """
 
 from __future__ import annotations
@@ -24,18 +25,14 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from . import kernels
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
-def _forest_dets(euler, adj, k):
-    """The determinant D_v of -I on every rooted subtree of the forest
-    that the first k vertices induce, and the roots of its trees (each
-    the smallest index of its tree).  One depth-first pass finds the
-    trees; then, children first and without division,
-    D_v = -e_v R_v - S_v, where R_v is the product of the children's D
-    and S_v = sum over children c of R_c times the other children's D."""
+def _rooted(adj, k):
+    """Depth-first preorder, parents (-1 at a root) and roots of the
+    forest that the first k vertices induce, each root the smallest index
+    of its tree.  Each subtree is a contiguous run of the preorder."""
     seen = [False] * k
     parent = [-1] * k
     order = []
@@ -54,6 +51,16 @@ def _forest_dets(euler, adj, k):
                     seen[j] = True
                     parent[j] = i
                     stack.append(j)
+    return order, parent, roots
+
+
+def _forest_dets(euler, order, parent):
+    """The determinant D_v of -I on every rooted subtree of a forest given
+    by :func:`_rooted`, and R_v, the product of the children's D (the
+    determinant of the subtree with v removed).  Children first and without
+    division, D_v = -e_v R_v - S_v, where S_v = sum over children c of R_c
+    times the other children's D."""
+    k = len(parent)
     dets = [0] * k
     r_prod = [1] * k
     s_sum = [0] * k
@@ -63,7 +70,7 @@ def _forest_dets(euler, adj, k):
         if p >= 0:
             s_sum[p] = s_sum[p] * d + r_prod[v] * r_prod[p]
             r_prod[p] *= d
-    return dets, roots
+    return dets, r_prod
 
 
 class PlumbingGraph:
@@ -73,7 +80,10 @@ class PlumbingGraph:
     iteration in the package.
     """
 
-    __slots__ = ("names", "euler", "edges", "_index", "_adj", "_hash", "_lattice")
+    __slots__ = (
+        "names", "euler", "edges", "_index", "_adj", "_hash", "_tree",
+        "_lattice",
+    )
 
     def __init__(self, vertices, edges):
         names = tuple(str(n) for n, _ in vertices)
@@ -105,6 +115,7 @@ class PlumbingGraph:
             adj[j].append(i)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
         self._hash = hash((names, euler, self.edges))
+        self._tree = None  # (preorder, parents) from vertex 0
         self._lattice = None  # IntersectionData
         self._validate()
 
@@ -133,6 +144,14 @@ class PlumbingGraph:
             m[j][i] = 1
         return m
 
+    def _rooted_tree(self):
+        """(preorder, parents) of the tree rooted at vertex 0, made on first
+        use and kept, like the lattice data, so that a graph that is only
+        built stays small."""
+        if self._tree is None:
+            self._tree = _rooted(self._adj, self.n)[:2]
+        return self._tree
+
     def intersect(self, x):
         """The pairings (x, E_v) for every vertex v, i.e. the product I x,
         for a vector x of ints or Fractions; a tree has n - 1 edges, so
@@ -157,13 +176,14 @@ class PlumbingGraph:
                 f"not a tree: {n} vertices need {n - 1} edges, "
                 f"got {len(self.edges)}"
             )
-        dets, roots = _forest_dets(self.euler, self._adj, n)
+        order, parent, roots = _rooted(self._adj, n)
         if len(roots) > 1:
             raise ValidationError("not a tree: graph is disconnected")
-        if min(dets) > 0:
+        if min(_forest_dets(self.euler, order, parent)[0]) > 0:
             return
         for k in range(1, n + 1):
-            dets, roots = _forest_dets(self.euler, self._adj, k)
+            order, parent, roots = _rooted(self._adj, k)
+            dets, _ = _forest_dets(self.euler, order, parent)
             det = prod(map(dets.__getitem__, roots))  # of -I, = (-1)^k minor
             if det <= 0:
                 raise ValidationError(
@@ -200,20 +220,69 @@ class IntersectionData:
     zk_nums: tuple
 
 
+def _tree_adjugate(g: PlumbingGraph):
+    """det P and adj P of P = -I (rows in index order), from branch
+    determinants on the tree rooted at vertex 0, in O(n^2) integer steps.
+
+    adj P_uv is the determinant of P with the path [u, v] removed
+    (Eisenbud-Neumann), the product of the determinants of the branches
+    off the path; every entry is positive.  A_v = adj P_vv is the product
+    of the branch determinants at v: the children's D (``_forest_dets``)
+    and U_v, the determinant off the subtree of v (1 at the root).  Across
+    the edge from v to a child c, det P = U_c D_c - (A_v / D_c) R_c, which
+    gives U_c.  Along that edge a row changes by A_c / (D_c U_c) = R_c / D_c
+    at the vertices off the subtree of c and by D_c U_c / A_v on it.  Every
+    division is exact.
+    """
+    order, parent = g._rooted_tree()
+    dets, r_prod = _forest_dets(g.euler, order, parent)
+    n = g.n
+    det = dets[0]
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    up = [1] * n  # U_v
+    diag = [0] * n  # A_v
+    diag[0] = r_prod[0]
+    row = [0] * n  # the root's row, in preorder
+    row[0] = diag[0]
+    for c in order[1:]:
+        v, d, r = parent[c], dets[c], r_prod[c]
+        up[c] = (det + diag[v] // d * r) // d
+        diag[c] = up[c] * r
+        row[pos[c]] = row[pos[v]] // d * r
+    rows = [None] * n
+    rows[0] = row
+    for c in order[1:]:
+        v, d, r = parent[c], dets[c], r_prod[c]
+        i, j = pos[c], pos[c] + size[c]
+        a, u = diag[v] // d, up[c]
+        row = rows[v]
+        rows[c] = (
+            [x // d * r for x in row[:i]]
+            + [x // a * u for x in row[i:j]]
+            + [x // d * r for x in row[j:]]
+        )
+    return det, tuple(tuple(map(row.__getitem__, pos)) for row in rows)
+
+
 def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    """The lattice data of ``g`` from the factor of P = -I, which is
-    positive definite: |det| = Delta_0 = det P, det I = (-1)^n det P,
-    adj I = (-1)^(n-1) adj P, and Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P
-    by adjunction.  I adj = det 1 is checked column by column, in O(n)
-    each, since a tree has n - 1 edges."""
+    """The lattice data of ``g`` from the tree pass over P = -I, which is
+    positive definite (:func:`_tree_adjugate`): |det| = det P,
+    det I = (-1)^n det P, adj I = (-1)^(n-1) adj P, and
+    Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P by adjunction.  I adj = det 1
+    is checked column by column, in O(n) each, since a tree has n - 1
+    edges."""
     data = g._lattice
     if data is None:
-        m = tuple(map(tuple, g.matrix()))
-        delta, _, _, adj_p = kernels._factor(tuple(tuple(map(neg, row)) for row in m))
+        det_p, adj_p = _tree_adjugate(g)
         if g.n % 2:
-            det, adj = -delta[0], adj_p
+            det, adj = -det_p, adj_p
         else:
-            det, adj = delta[0], tuple(tuple(map(neg, row)) for row in adj_p)
+            det, adj = det_p, tuple(tuple(map(neg, row)) for row in adj_p)
         # I adj^T = det 1 forces adj^T = det I^-1 = adj, so rows will do
         for v, row in enumerate(adj):
             col = g.intersect(row)
@@ -221,7 +290,8 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
                 raise InternalError("adjugate check I adj = det 1 failed")
         k = [e + 2 for e in g.euler]
         data = g._lattice = IntersectionData(
-            m, adj, det, delta[0], tuple(-sum(map(mul, row, k)) for row in adj_p),
+            tuple(map(tuple, g.matrix())), adj, det, det_p,
+            tuple(-sum(map(mul, row, k)) for row in adj_p),
         )
     return data
 

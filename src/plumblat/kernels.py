@@ -3,7 +3,9 @@ integers.
 
 The objective is f(l) = l^T P l + q . l with P symmetric positive
 definite over the integer box [lo, hi].  One depth-first enumerator
-(Fincke-Pohst branch and bound) serves every caller.  It fixes the
+(Fincke-Pohst branch and bound) serves every caller; Artin's test and
+the lattice data of a graph use none of this module and read the tree
+instead (``chimin._artin_min``, ``graph.intersection_data``).  It fixes the
 coordinates in lexicographic order, l_0 first and the last coordinate
 fastest.  With l_0..l_{k-1} fixed, let g_k be the minimum of f over real
 values of the remaining coordinates; then
@@ -12,7 +14,8 @@ values of the remaining coordinates; then
 
 where Delta_k = det P[k:, k:] (Delta_n = 1) and mu_k, the real minimizer
 in l_k, is affine in the fixed prefix.  The D_k are the pivots of an
-LDL^T of P that eliminates the trailing coordinates first.  The walk
+LDL^T of P that eliminates the trailing coordinates first, taken from
+one forward fraction-free pass over P (``_factor``).  The walk
 keeps G_k = 4 Delta_k g_k and M_k = 2 Delta_k mu_k, both integers, and
 runs l_k upward over the integer interval where g_{k+1} <= bound
 (``isqrt``), cut to the box.  No point below a pruned node can reach the
@@ -61,19 +64,12 @@ def _factor(P):
     """The walk's data of P (a tuple of row tuples): Delta_0..Delta_n, and
     per depth k the prefix coefficients -2 u_k of M_k and the row a_k,
     where a_k is the first row of adj P[k:, k:] and u_k[j] = a_k . P[k:, j]
-    for j < k, so that M_k = -a_k . q[k:] - 2 u_k . l[:k]; and last the
-    adjugate adj P = Delta_0 P^-1, as a tuple of row tuples.
+    for j < k, so that M_k = -a_k . q[k:] - 2 u_k . l[:k].
 
-    One fraction-free Gauss-Jordan pass (Bareiss) over [P | I] with the
-    coordinates reversed gives them all.  The rows above the pivot take
-    the same exact-division update as the rows below, so a row reaches
-    its own step as in the forward pass: when coordinate k becomes the
+    One forward fraction-free pass (Bareiss) over [P | I] with the
+    coordinates reversed gives them all: when coordinate k becomes the
     pivot, its row holds the determinants of P[k:, k:] with the first
-    column replaced by a column of P (Delta_k, u_k) or of I (a_k).  At
-    the end the right block is the adjugate.  This is the library's one
-    elimination of a matrix: ``graph.intersection_data`` reads det, I^-1
-    and Z_K off the factor of -I, which the walks of chi on the same
-    graph then find in the cache.
+    column replaced by a column of P (Delta_k, u_k) or of I (a_k).
     """
     n = len(P)
     rows = [
@@ -91,13 +87,11 @@ def _factor(P):
         coeffs[k] = tuple(-2 * pivot_row[n - 1 - j] for j in range(k))
         heads[k] = tuple(pivot_row[n + s - i] for i in range(s + 1))
         tail = pivot_row[s + 1:]
-        for row in rows:
-            if row is not pivot_row:
-                f = row[s]
-                row[s + 1:] = [(p * a - f * b) // prev for a, b in zip(row[s + 1:], tail)]
+        for row in rows[s + 1:]:
+            f = row[s]
+            row[s + 1:] = [(p * a - f * b) // prev for a, b in zip(row[s + 1:], tail)]
         prev = p
-    adj = tuple(tuple(reversed(row[n:])) for row in reversed(rows))
-    return tuple(delta), tuple(coeffs), tuple(heads), adj
+    return tuple(delta), tuple(coeffs), tuple(heads)
 
 
 class _Walk:
@@ -108,7 +102,7 @@ class _Walk:
 
     def __init__(self, P, q, lo, hi):
         _check_box(lo, hi)
-        delta, self.coeffs, heads, _ = _factor(tuple(map(tuple, P)))
+        delta, self.coeffs, heads = _factor(tuple(map(tuple, P)))
         self.lo, self.hi, self.delta = lo, hi, delta
         qa = [sum(map(mul, a, q[k:])) for k, a in enumerate(heads)]
         self.const = [-x for x in qa]

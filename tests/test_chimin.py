@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ import pytest
 from plumblat import (
     BoxTooLarge,
     Cycle,
+    InternalError,
     PlumbingGraph,
     anticanonical_cycle,
     chi,
     fundamental_cycle,
     in_lipman_cone,
+    intersection_data,
     is_rational,
     laufer_reduce,
     min_chi_box,
@@ -19,6 +22,7 @@ from plumblat import (
     pairing,
 )
 from plumblat import chimin, kernels
+from plumblat.surgery import blowup_chain, blowup_edge_chain
 
 from conftest import (
     brute_fundamental_cycle,
@@ -222,23 +226,23 @@ def test_is_rational_examples():
     assert not is_rational(graph_t237())
 
 
-def _spy_search_setup(monkeypatch):
+def _spy_budget_gate(monkeypatch):
     """Record the (lo, hi, budget) of every call of the budget gate."""
     calls = []
-    real = chimin._search_setup
+    real = chimin._budget_gate
 
-    def spy(g, den, ix, idxs, lo, hi, budget):
+    def spy(lo, hi, budget):
         calls.append((tuple(lo), tuple(hi), budget))
-        return real(g, den, ix, idxs, lo, hi, budget)
+        return real(lo, hi, budget)
 
-    monkeypatch.setattr(chimin, "_search_setup", spy)
+    monkeypatch.setattr(chimin, "_budget_gate", spy)
     return calls
 
 
 def test_is_rational_passes_one_gate_with_one_budget(monkeypatch):
     """One is_rational call is one certified search: the whole budget
     applies to its one box, which must fit in it."""
-    calls = _spy_search_setup(monkeypatch)
+    calls = _spy_budget_gate(monkeypatch)
     sizes = []
     graphs = (PlumbingGraph([("a", -3)], []), graph_an(3, -3), graph_e8(), graph_t237())
     for g in graphs:
@@ -259,7 +263,7 @@ def test_is_rational_passes_one_gate_with_one_budget(monkeypatch):
 
 
 def test_is_rational_matches_the_n_search_minimum_on_the_corpus():
-    """The one walk decides as Artin's criterion by one lower-bounded
+    """The tree pass decides as Artin's criterion by one lower-bounded
     search per vertex (every nonzero l >= 0 is >= some E_v)."""
     for g in corpus():
         artin_min = min(
@@ -270,16 +274,16 @@ def test_is_rational_matches_the_n_search_minimum_on_the_corpus():
 
 def test_walk_box_holds_every_sublevel_point(monkeypatch):
     """Brute force over [0, 2 hi + 1], with chi from the intersection
-    matrix in numpy: every l >= 0 with chi(l) <= 0 lies in the walk's box
-    [0, hi], and the origin is the only one iff the graph is rational.
+    matrix in numpy: every l >= 0 with chi(l) <= 0 lies in the certified
+    box [0, hi], and the origin is the only one iff the graph is rational.
 
     A seeded sample of corpus trees, non-rational ones (by chi(Z_min)) drawn
     apart so both verdicts are covered; trees whose enlarged box exceeds
     10^5 points are left out to bound the test's time.
     """
-    calls = _spy_search_setup(monkeypatch)
+    calls = _spy_budget_gate(monkeypatch)
 
-    def walk_hi(g):
+    def box_hi(g):
         calls.clear()
         rational = is_rational(g)
         [(_, hi, _)] = calls
@@ -291,7 +295,7 @@ def test_walk_box_holds_every_sublevel_point(monkeypatch):
     sample = rng.sample(trees, 200) + rng.sample(non_rational, 60)
     seen = {True: 0, False: 0}
     for g in sample:
-        hi, rational = walk_hi(g)
+        hi, rational = box_hi(g)
         if np.prod([2 * h + 2 for h in hi]) > 10**5:
             continue
         m = np.array(g.matrix(), dtype=np.int64)
@@ -305,3 +309,88 @@ def test_walk_box_holds_every_sublevel_point(monkeypatch):
         assert (len(low) == 1) == rational
         seen[rational] += 1
     assert seen[True] >= 150 and seen[False] >= 50
+
+
+def _brute_artin_min(g, hi):
+    """Least 2 chi over the nonzero points of [0, hi] by plain enumeration
+    (None when the box is the origin)."""
+    values = [
+        2 * chi(Cycle(g, point))
+        for point in itertools.product(*[range(h + 1) for h in hi])
+        if any(point)
+    ]
+    return min(values, default=None)
+
+
+def test_artin_min_matches_brute_force():
+    """The tree pass gives the least nonzero 2 chi of any box [0, hi], not
+    only of the certified one: random small trees and boxes."""
+    rng = random.Random(23)
+    for _ in range(300):
+        g = random_tree(rng, max_n=5, euler_range=(-4, -1))
+        hi = [rng.randint(0, 4) for _ in range(g.n)]
+        if np.prod([h + 1 for h in hi]) <= 3000:
+            assert chimin._artin_min(g, hi) == _brute_artin_min(g, hi), (g.euler, hi)
+    # the origin alone holds no nonzero point
+    assert chimin._artin_min(graph_e8(), (0,) * 8) is None
+    # (2,3,7) hung off the root r through a: in this box the one point with
+    # chi <= 0 is 2E_c + E_p + E_q + E_s, where l_r = l_a = 0, so the
+    # least value needs the entries at t = 0 whose subtree is nonzero
+    g = PlumbingGraph(
+        [("r", -2), ("a", -2), ("c", -1), ("p", -2), ("q", -3), ("s", -7)],
+        [("r", "a"), ("a", "s"), ("c", "p"), ("c", "q"), ("c", "s")],
+    )
+    hi = (2, 0, 2, 1, 1, 1)
+    low = [
+        point
+        for point in itertools.product(*[range(h + 1) for h in hi])
+        if any(point) and chi(Cycle(g, point)) <= 0
+    ]
+    assert low == [(0, 0, 2, 1, 1, 1)]
+    assert chimin._artin_min(g, hi) == 0 == _brute_artin_min(g, hi)
+
+
+def test_is_rational_on_blowups_beyond_any_walk():
+    """E8 (rational) and (2,3,7) (not rational) with 40 chained blow-ups
+    and with 40 edge blow-ups: boxes of 10^46 to 10^106 points, which no
+    walk of the box finishes, decided in well under a second at an explicit
+    budget, and Artin's verdict does not change under blow-up."""
+    start = time.perf_counter()
+    sizes = []
+    for g, edge in ((graph_e8(), ("v3", "v4")), (graph_t237(), ("c", "p"))):
+        want = is_rational(g)
+        for b in (blowup_chain(g, edge[0], 40), blowup_edge_chain(g, *edge, 40)):
+            h = b.new_graph
+            assert is_rational(h, budget=10**200) == want
+            sizes.append(kernels.box_size((0,) * h.n, chimin._level_box(h, (0,) * h.n)[3]))
+    assert time.perf_counter() - start < 1
+    assert min(sizes) > 10**46
+
+
+def test_is_rational_and_lattice_data_use_no_kernel(monkeypatch):
+    """Neither the lattice data nor Artin's test factors a matrix or walks
+    a box: with both kernel entries made to raise, fresh graphs still get
+    their verdicts."""
+
+    def forbidden(*args):
+        raise AssertionError("kernel called")
+
+    monkeypatch.setattr(kernels, "_factor", forbidden)
+    monkeypatch.setattr(kernels, "box_values", forbidden)
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_tree(rng, max_n=9)
+        intersection_data(g)
+        assert is_rational(g) == (chi(fundamental_cycle(g)) == 1)
+    assert not is_rational(blowup_chain(graph_t237(), "c", 40).new_graph, budget=10**60)
+
+
+def test_laufer_cross_check_disagreement_raises(monkeypatch):
+    """A fundamental cycle that disagrees with the tree pass, either way,
+    is an internal error, not a verdict."""
+    monkeypatch.setattr(chimin, "fundamental_cycle", lambda g: Cycle.zero(g))
+    with pytest.raises(InternalError, match="cross-check"):
+        is_rational(graph_a2())  # chi(0) = 0 claims non-rational
+    monkeypatch.setattr(chimin, "fundamental_cycle", lambda g: Cycle.basis(g, "c"))
+    with pytest.raises(InternalError, match="cross-check"):
+        is_rational(graph_t237())  # chi(E_c) = 1 claims rational

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import plumblat
-from plumblat import InternalError, intersection_data, kernels, parse_graph
+from plumblat import InternalError, graph, intersection_data, parse_graph
 from plumblat.cli import main
 
 A1 = "vertex v -2\n"
@@ -534,15 +534,15 @@ def test_budget_env_below_one_exits_2(gfile, capsys, monkeypatch):
 
 
 def test_internal_error_exits_1(gfile, capsys, monkeypatch):
-    """A corrupted adjugate fails the check I adj = det 1: the library
-    raises InternalError, and the CLI reports it and exits 1."""
-    factor = kernels._factor
+    """A corrupted adjugate from the tree pass fails the check I adj = det 1:
+    the library raises InternalError, and the CLI reports it and exits 1."""
+    tree_adjugate = graph._tree_adjugate
 
-    def corrupted(P):
-        delta, coeffs, heads, adj = factor(P)
-        return delta, coeffs, heads, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+    def corrupted(g):
+        det, adj = tree_adjugate(g)
+        return det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
 
-    monkeypatch.setattr(kernels, "_factor", corrupted)
+    monkeypatch.setattr(graph, "_tree_adjugate", corrupted)
     with pytest.raises(InternalError):
         intersection_data(parse_graph(A2))
     code, out, err = run(capsys, "validate", "--graph", gfile(A2))

@@ -1,6 +1,6 @@
 """Differential tests of the integer lattice core.
 
-The lattice data of the fraction-free factor, the integer pairing, chi,
+The lattice data of the tree pass, the integer pairing, chi,
 the shifted quadratic, the lower-bounded search box and the integer
 E*-coordinates are compared with the plain Fraction formulas they replace:
 Gauss-Jordan inversion, Bareiss determinants, the matrix pairing, Z_K by
@@ -9,11 +9,12 @@ and the dual base as the columns of -I^-1.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 
-from plumblat import Cycle, chi, exactlin, intersection_data, pairing
+from plumblat import Cycle, PlumbingGraph, chi, exactlin, intersection_data, pairing
 from plumblat.chimin import (
     _shifted_quadratic,
     anticanonical_cycle,
@@ -28,8 +29,9 @@ from plumblat.cycles import (
     is_dual_lattice_member,
     restrict_R,
 )
+from plumblat.surgery import blowup_chain
 
-from conftest import corpus, random_rat_cycle, random_tree
+from conftest import corpus, graph_e8, random_rat_cycle, random_tree
 
 
 def _trees(seed, count, max_n=7):
@@ -100,15 +102,37 @@ def sample_cycles(rng, g):
 # -- lattice data ------------------------------------------------------------
 
 
+def _star(rng, leaves):
+    """A star with ``leaves`` leaves, declared in a random order so that
+    the tree pass roots it at a leaf or at the centre."""
+    verts = [("c", -leaves - rng.randint(1, 3))]
+    verts += [(f"l{i}", rng.randint(-6, -2)) for i in range(leaves)]
+    rng.shuffle(verts)
+    return PlumbingGraph(verts, [("c", f"l{i}") for i in range(leaves)])
+
+
+def _path(rng, n):
+    """A path of ``n`` vertices with Euler numbers at most -2, declared in
+    a random order so that the root of the tree pass can sit inside it."""
+    names = [f"p{i}" for i in range(n)]
+    verts = [(v, rng.randint(-4, -2)) for v in names]
+    rng.shuffle(verts)
+    return PlumbingGraph(verts, list(zip(names, names[1:])))
+
+
 def test_intersection_data_matches_fraction_inverse_on_trees():
     """det, |L'/L|, I^-1 = adjugate / det and Z_K = zk_nums / |det|, all
-    read off the Gauss-Jordan factor of -I, against the Fraction
-    references, on corpus trees and random trees of up to 40 vertices;
-    the signs (-1)^n need both parities of n."""
+    from the tree pass of branch determinants, against the Fraction
+    references, on every corpus tree, random trees of up to 40 vertices,
+    stars with 6 to 12 leaves and paths of up to 40 vertices (the rows are
+    carried across every edge, into and out of each subtree); the signs
+    (-1)^n need both parities of n."""
     rng = random.Random(1)
-    trees = rng.sample(corpus(), 150) + [random_tree(rng, max_n=40) for _ in range(10)]
+    trees = list(corpus()) + [random_tree(rng, max_n=40) for _ in range(10)]
+    trees += [_star(rng, k) for k in range(6, 13)]
+    trees += [_path(rng, n) for n in (2, 3, 9, 17, 28, 40)]
     assert {g.n % 2 for g in trees} == {0, 1}
-    assert max(g.n for g in trees) > 20
+    assert max(g.n for g in trees) == 40
     for g in trees:
         m = g.matrix()
         det = exactlin.det_bareiss(m)
@@ -118,6 +142,17 @@ def test_intersection_data_matches_fraction_inverse_on_trees():
         assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
         zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
         assert [Fraction(x, abs(det)) for x in data.zk_nums] == zk
+
+
+def test_intersection_data_of_a_long_blowup_chain():
+    """E8 with 200 chained blow-ups (208 vertices) is unimodular, and its
+    lattice data takes a tree pass of O(n^2) integer steps, not a dense
+    elimination."""
+    g = blowup_chain(graph_e8(), "v3", 200).new_graph
+    start = time.perf_counter()
+    data = intersection_data(g)
+    assert time.perf_counter() - start < 1
+    assert g.n == 208 and abs(data.det) == 1 and data.group_order == 1
 
 
 # -- chi, pairing and the shifted quadratic ----------------------------------

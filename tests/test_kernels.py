@@ -212,12 +212,8 @@ def test_enumerator_matches_brute_force(n):
         else:
             P = gram_instance(rng, n)
             q = [rng.randint(-20, 20) for _ in range(n)]
-        # the adjugate of the Gauss-Jordan factor: P adj = Delta_0 1
-        delta, _, _, adj = kernels._factor(tuple(map(tuple, P)))
-        det = exactlin.det_bareiss(P)
-        assert delta[0] == det
-        assert exactlin.mat_mul(P, adj) == [[det * (i == j) for j in range(n)] for i in range(n)]
-        assert [[Fraction(a, det) for a in row] for row in adj] == exactlin.invert(P)
+        delta, _, _ = kernels._factor(tuple(map(tuple, P)))
+        assert delta[0] == exactlin.det_bareiss(P)
         lo, hi = random_box(rng, n, 1500 if n < 6 else 800)
         if trial % 4 >= 2:
             q = tied_q(rng, P, lo, hi)
