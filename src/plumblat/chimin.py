@@ -58,13 +58,13 @@ def fundamental_cycle(g: PlumbingGraph) -> Cycle:
 
     Start from the reduced cycle E and repeatedly add E_v for the
     smallest-index v with (z, E_v) > 0; negative definiteness guarantees
-    termination at the unique fundamental cycle.
+    termination at the unique fundamental cycle.  The pairings s = I z
+    are kept: adding E_v adds e_v to s_v and 1 to s_u for each neighbour
+    u of v.
     """
-    m = intersection_data(g).matrix
     n = g.n
     z = [1] * n
-    # s = I z, updated incrementally
-    s = [sum(m[i][j] for j in range(n)) for i in range(n)]
+    s = g.intersect(z)
     guard = intersection_data(g).group_order * sum(
         abs(e) for e in g.euler
     ) * n * n
@@ -74,8 +74,9 @@ def fundamental_cycle(g: PlumbingGraph) -> Cycle:
         if v is None:
             return Cycle(g, z)
         z[v] += 1
-        for i in range(n):
-            s[i] += m[i][v]
+        s[v] += g.euler[v]
+        for u in g._adj[v]:
+            s[u] += 1
         steps += 1
         if steps > guard:
             raise InternalError("Laufer iteration exceeded its step guard")
@@ -92,11 +93,11 @@ def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
         raise PreconditionFailed("z must be an effective integral cycle")
     g = z.graph
     lp._same_graph(z)
-    m = intersection_data(g).matrix
     n = g.n
     zc = list(z.int_coeffs())
     l = [0] * n
-    # p = den * I (lp - l), updated incrementally
+    # p = den * I (lp - l): adding E_v to l takes den e_v from p_v and den
+    # from p_u for each neighbour u of v
     den = lp.den
     p = g.intersect(lp.nums)
     while True:
@@ -106,8 +107,9 @@ def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
         if v is None:
             return Cycle(g, l)
         l[v] += 1
-        for i in range(n):
-            p[i] -= den * m[i][v]
+        p[v] -= den * g.euler[v]
+        for u in g._adj[v]:
+            p[u] -= den
 
 
 # -- certified minimization ------------------------------------------------
@@ -204,7 +206,9 @@ def _level_box(g: PlumbingGraph, l0):
     Z_K = k / den, by adjunction chi(Z_K/2) = sum_v k_v (e_v + 2) / (8 den),
     so the level L = 8 den (chi(l0) - chi(Z_K/2)) is an integer, and on
     the level set |l_v - (Z_K/2)_v|^2 <= L (-adj_vv) / (4 den det), whose
-    ceiling square root is the ceiling square root of its ceiling.
+    ceiling square root is the ceiling square root of its ceiling.  Only
+    the diagonal adj_vv of the adjugate is read (``data.diagonal``), so
+    the box costs O(n) lattice data.
 
     Returns (2 chi(l0), L, radius, hi) with hi_v = max(l0_v,
     floor(k_v / 2 den) + radius_v), the upper corner of the box.
@@ -217,7 +221,7 @@ def _level_box(g: PlumbingGraph, l0):
     level = 4 * den * (lin - quad) - sum(x * (e + 2) for x, e in zip(k, g.euler))
     scale = 4 * den * data.det
     radius = tuple(
-        _ceil_sqrt(-(level * data.adjugate[v][v] // scale)) for v in range(g.n)
+        _ceil_sqrt(-(level * a // scale)) for a in data.diagonal
     )
     hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
     return lin - quad, level, radius, hi

@@ -5,15 +5,17 @@ self-intersection of the corresponding exceptional curve); all genus
 decorations are implicitly zero.  Validation happens at construction
 time, by one leaf-to-root pass of subtree determinants: every downstream
 formula assumes negative definiteness.
-:func:`intersection_data` holds the lattice data in integers: the
-determinant, the adjugate det * I^-1 and Z_K, from one rerooted pass of
+:func:`intersection_data` holds the lattice data in integers, from
 branch determinants over the same tree (no elimination of a matrix), on
-first use and kept on the graph.
+first use and kept on the graph: the determinant, Z_K and the diagonal
+of the adjugate det * I^-1 from one O(n) pass, and the adjugate's rows
+and the dense matrix, O(n^2), only when they are first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from operator import mul, neg
 import re
@@ -208,91 +210,148 @@ class PlumbingGraph:
         return f"PlumbingGraph({len(self.names)} vertices, det={intersection_data(self).det})"
 
 
-@dataclass(frozen=True)
-class IntersectionData:
-    """Exact integer data of the intersection form of one graph:
-    I^-1 = adjugate / det and Z_K = zk_nums / group_order."""
-
-    matrix: tuple  # tuple of tuples of int
-    adjugate: tuple  # tuple of tuples of int, det * I^-1
-    det: int
-    group_order: int  # |L'/L| = |det|
-    zk_nums: tuple
-
-
-def _tree_adjugate(g: PlumbingGraph):
-    """det P and adj P of P = -I (rows in index order), from branch
-    determinants on the tree rooted at vertex 0, in O(n^2) integer steps.
+def _branch_dets(g: PlumbingGraph):
+    """D_v and R_v (:func:`_forest_dets`) on the tree rooted at vertex 0,
+    and A_v = adj P_vv of P = -I, in O(n) integer steps.
 
     adj P_uv is the determinant of P with the path [u, v] removed
     (Eisenbud-Neumann), the product of the determinants of the branches
-    off the path; every entry is positive.  A_v = adj P_vv is the product
-    of the branch determinants at v: the children's D (``_forest_dets``)
-    and U_v, the determinant off the subtree of v (1 at the root).  Across
-    the edge from v to a child c, det P = U_c D_c - (A_v / D_c) R_c, which
-    gives U_c.  Along that edge a row changes by A_c / (D_c U_c) = R_c / D_c
-    at the vertices off the subtree of c and by D_c U_c / A_v on it.  Every
-    division is exact.
+    off the path; every entry is positive.  A_v is the product of the
+    branch determinants at v: the children's D and U_v, the determinant
+    off the subtree of v (1 at the root).  Across the edge from v to a
+    child c, det P = U_c D_c - (A_v / D_c) R_c, which gives U_c and
+    A_c = U_c R_c.  Every division is exact.
     """
     order, parent = g._rooted_tree()
     dets, r_prod = _forest_dets(g.euler, order, parent)
-    n = g.n
     det = dets[0]
+    diag = [0] * g.n  # A_v
+    diag[0] = r_prod[0]
+    for c in order[1:]:
+        v, d, r = parent[c], dets[c], r_prod[c]
+        diag[c] = (det + diag[v] // d * r) // d * r
+    return dets, r_prod, diag
+
+
+def _tree_solve(g: PlumbingGraph, dets, r_prod, k):
+    """x = adj P k, the solution of P x = det P k, by one subtree solve in
+    O(n) integer steps.  Leaf to root, X_c = R_c k_c plus (R_c / D_c') X_c'
+    over the children c' of c, and x_root = X_root; root to leaf,
+    x_c = (det P X_c + x_v R_c) / D_c for the parent v of c.  Every
+    division is exact."""
+    order, parent = g._rooted_tree()
+    x = list(map(mul, r_prod, k))  # X_v, once its children are added
+    for c in reversed(order[1:]):
+        v = parent[c]
+        x[v] += r_prod[v] // dets[c] * x[c]
+    det = dets[0]
+    for c in order[1:]:
+        x[c] = (det * x[c] + x[parent[c]] * r_prod[c]) // dets[c]
+    return x
+
+
+def _tree_adjugate(g: PlumbingGraph):
+    """The rows of adj P, P = -I, in index order: the rerooted pass of
+    branch determinants, O(n^2) integer steps.  The root's row follows
+    the edges down from A_root; along the edge from v to a child c a row
+    changes by A_c / (D_c U_c) = R_c / D_c at the vertices off the subtree
+    of c and by D_c U_c / A_v on it (:func:`_branch_dets`).  Every
+    division is exact.
+    """
+    order, parent = g._rooted_tree()
+    dets, r_prod, diag = _branch_dets(g)
+    n = g.n
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
     size = [1] * n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    up = [1] * n  # U_v
-    diag = [0] * n  # A_v
-    diag[0] = r_prod[0]
     row = [0] * n  # the root's row, in preorder
     row[0] = diag[0]
     for c in order[1:]:
-        v, d, r = parent[c], dets[c], r_prod[c]
-        up[c] = (det + diag[v] // d * r) // d
-        diag[c] = up[c] * r
-        row[pos[c]] = row[pos[v]] // d * r
+        row[pos[c]] = row[pos[parent[c]]] // dets[c] * r_prod[c]
     rows = [None] * n
     rows[0] = row
     for c in order[1:]:
         v, d, r = parent[c], dets[c], r_prod[c]
         i, j = pos[c], pos[c] + size[c]
-        a, u = diag[v] // d, up[c]
+        a, u = diag[v] // d, diag[c] // r
         row = rows[v]
         rows[c] = (
             [x // d * r for x in row[:i]]
             + [x // a * u for x in row[i:j]]
             + [x // d * r for x in row[j:]]
         )
-    return det, tuple(tuple(map(row.__getitem__, pos)) for row in rows)
+    return tuple(tuple(map(row.__getitem__, pos)) for row in rows)
 
 
-def intersection_data(g: PlumbingGraph) -> IntersectionData:
-    """The lattice data of ``g`` from the tree pass over P = -I, which is
-    positive definite (:func:`_tree_adjugate`): |det| = det P,
-    det I = (-1)^n det P, adj I = (-1)^(n-1) adj P, and
-    Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P by adjunction.  I adj = det 1
-    is checked column by column, in O(n) each, since a tree has n - 1
-    edges."""
-    data = g._lattice
-    if data is None:
-        det_p, adj_p = _tree_adjugate(g)
-        if g.n % 2:
-            det, adj = -det_p, adj_p
-        else:
-            det, adj = det_p, tuple(tuple(map(neg, row)) for row in adj_p)
+@dataclass(frozen=True)
+class IntersectionData:
+    """Exact integer data of the intersection form of one graph:
+    Z_K = zk_nums / group_order and diagonal = the diagonal of
+    adjugate = det * I^-1.  det, group_order, zk_nums and diagonal come
+    from one O(n) tree pass; the O(n^2) ``adjugate`` and ``matrix`` are
+    built on first read and then kept."""
+
+    det: int
+    group_order: int  # |L'/L| = |det|
+    zk_nums: tuple
+    diagonal: tuple  # adjugate[v][v]
+    graph: PlumbingGraph = field(repr=False, compare=False)
+
+    @cached_property
+    def adjugate(self):
+        """det * I^-1 as a tuple of integer rows, from the row pass
+        (:func:`_tree_adjugate`), with I adj = det 1 checked column by
+        column in O(n) each, since a tree has n - 1 edges."""
+        g, det = self.graph, self.det
+        adj = _tree_adjugate(g)
+        if g.n % 2 == 0:  # adj I = (-1)^(n-1) adj P
+            adj = tuple(tuple(map(neg, row)) for row in adj)
         # I adj^T = det 1 forces adj^T = det I^-1 = adj, so rows will do
         for v, row in enumerate(adj):
             col = g.intersect(row)
             if col.pop(v) != det or any(col):
                 raise InternalError("adjugate check I adj = det 1 failed")
+        return adj
+
+    @cached_property
+    def matrix(self):
+        """The intersection matrix as a tuple of integer rows."""
+        return tuple(map(tuple, self.graph.matrix()))
+
+
+def intersection_data(g: PlumbingGraph) -> IntersectionData:
+    """The lattice data of ``g`` from one O(n) pass over the tree of
+    P = -I, which is positive definite: |det| = det P = D_root,
+    det I = (-1)^n det P and adj I = (-1)^(n-1) adj P, whose diagonal is
+    A_v (:func:`_branch_dets`); Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P
+    by adjunction (:func:`_tree_solve`).  Both are checked in O(n):
+    I zk_nums = det P (e + 2), and the (v, v) entries of P adj P = det P 1
+    from A and the edge entries adj P_vc = A_v R_c / D_c."""
+    data = g._lattice
+    if data is None:
+        dets, r_prod, diag = _branch_dets(g)
+        det_p = dets[0]
         k = [e + 2 for e in g.euler]
-        data = g._lattice = IntersectionData(
-            tuple(map(tuple, g.matrix())), adj, det, det_p,
-            tuple(-sum(map(mul, row, k)) for row in adj_p),
-        )
+        zk_nums = tuple(map(neg, _tree_solve(g, dets, r_prod, k)))
+        if g.intersect(zk_nums) != [det_p * kv for kv in k]:
+            raise InternalError("Z_K check I Z_K = e + 2 failed")
+        order, parent = g._rooted_tree()
+        col = [-e * a for e, a in zip(g.euler, diag)]  # (P adj P)_vv
+        for c in order[1:]:
+            v = parent[c]
+            edge = diag[v] // dets[c] * r_prod[c]
+            col[v] -= edge
+            col[c] -= edge
+        if any(x != det_p for x in col):
+            raise InternalError("adjugate diagonal check I adj = det 1 failed")
+        if g.n % 2:
+            det, diag = -det_p, tuple(diag)
+        else:
+            det, diag = det_p, tuple(map(neg, diag))
+        data = g._lattice = IntersectionData(det, det_p, zk_nums, diag, g)
     return data
 
 

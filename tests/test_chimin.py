@@ -21,7 +21,7 @@ from plumblat import (
     min_chi_lower_bounded,
     pairing,
 )
-from plumblat import chimin, kernels
+from plumblat import chimin, graph, kernels
 from plumblat.surgery import blowup_chain, blowup_edge_chain
 
 from conftest import (
@@ -383,6 +383,51 @@ def test_is_rational_and_lattice_data_use_no_kernel(monkeypatch):
         intersection_data(g)
         assert is_rational(g) == (chi(fundamental_cycle(g)) == 1)
     assert not is_rational(blowup_chain(graph_t237(), "c", 40).new_graph, budget=10**60)
+
+
+def test_is_rational_reads_no_adjugate_rows(monkeypatch):
+    """Artin's test, Laufer's algorithms, Z_K and the validate data read
+    only the O(n) lattice data: with the adjugate row pass and the dense
+    matrix made to raise, fresh graphs get the same verdicts, cycles and
+    data as copies analysed beforehand, and E8 with 200 chained blow-ups,
+    whose box of {chi <= 0} has about 10^277 points, is decided in well
+    under a second."""
+    rng = random.Random(24)
+    specs = [random_tree(rng, max_n=12) for _ in range(60)]
+    specs += [graph_e8(), graph_t237(), blowup_edge_chain(graph_e8(), "v3", "v4", 30).new_graph]
+
+    def facts(g):
+        data = intersection_data(g)
+        zmin = fundamental_cycle(g)
+        return (
+            is_rational(g, budget=10**100),
+            zmin,
+            laufer_reduce(2 * zmin, Cycle.zero(g)),
+            anticanonical_cycle(g),
+            data.det,
+            data.group_order,
+        )
+
+    def copy(g):
+        return PlumbingGraph(
+            list(zip(g.names, g.euler)),
+            [(g.names[i], g.names[j]) for i, j in g.edges],
+        )
+
+    want = [facts(copy(g)) for g in specs]
+
+    def forbidden(*args):
+        raise AssertionError("O(n^2) lattice data built")
+
+    monkeypatch.setattr(graph, "_tree_adjugate", forbidden)
+    monkeypatch.setattr(PlumbingGraph, "matrix", forbidden)
+    assert [facts(copy(g)) for g in specs] == want
+    g = blowup_chain(graph_e8(), "v3", 200).new_graph
+    start = time.perf_counter()
+    assert is_rational(g, budget=10**300)
+    assert time.perf_counter() - start < 1
+    box = kernels.box_size((0,) * g.n, chimin._level_box(g, (0,) * g.n)[3])
+    assert 10**277 < box < 10**278
 
 
 def test_laufer_cross_check_disagreement_raises(monkeypatch):

@@ -534,20 +534,54 @@ def test_budget_env_below_one_exits_2(gfile, capsys, monkeypatch):
 
 
 def test_internal_error_exits_1(gfile, capsys, monkeypatch):
-    """A corrupted adjugate from the tree pass fails the check I adj = det 1:
-    the library raises InternalError, and the CLI reports it and exits 1."""
+    """One corrupted Z_K numerator, or one corrupted diagonal entry of the
+    adjugate, from the O(n) tree pass fails its O(n) check (I Z_K = e + 2,
+    or the diagonal of I adj = det 1): the library raises InternalError,
+    and the CLI reports it and exits 1."""
+    tree_solve, branch_dets = graph._tree_solve, graph._branch_dets
+
+    def bad_zk(*args):
+        x = tree_solve(*args)
+        return [x[0] + 1] + x[1:]
+
+    def bad_diagonal(g):
+        dets, r_prod, diag = branch_dets(g)
+        return dets, r_prod, diag[:-1] + [diag[-1] + 1]
+
+    for name, corrupted in (("_tree_solve", bad_zk), ("_branch_dets", bad_diagonal)):
+        with monkeypatch.context() as m:
+            m.setattr(graph, name, corrupted)
+            with pytest.raises(InternalError):
+                intersection_data(parse_graph(A2))
+            code, out, err = run(capsys, "validate", "--graph", gfile(A2))
+            assert (code, out) == (1, "")
+            assert err.startswith("internal error: ")
+
+
+def test_internal_error_in_the_adjugate_rows_exits_1(gfile, capsys, monkeypatch):
+    """A corrupted adjugate entry fails the check I adj = det 1 where the
+    rows are built, on the first read: validate, which reads only the O(n)
+    data, still succeeds, and estar, which reads a column, exits 1.  The
+    entry is a diagonal one on A2, and on A3 the corner (a, c), which
+    moves only off-diagonal entries of I adj."""
     tree_adjugate = graph._tree_adjugate
+    a3 = "vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\n"
+    for text, j in ((A2, 0), (a3, 2)):
 
-    def corrupted(g):
-        det, adj = tree_adjugate(g)
-        return det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+        def corrupted(g):
+            adj = [list(row) for row in tree_adjugate(g)]
+            adj[0][j] += 1
+            return tuple(map(tuple, adj))
 
-    monkeypatch.setattr(graph, "_tree_adjugate", corrupted)
-    with pytest.raises(InternalError):
-        intersection_data(parse_graph(A2))
-    code, out, err = run(capsys, "validate", "--graph", gfile(A2))
-    assert (code, out) == (1, "")
-    assert err.startswith("internal error: ")
+        with monkeypatch.context() as m:
+            m.setattr(graph, "_tree_adjugate", corrupted)
+            with pytest.raises(InternalError):
+                intersection_data(parse_graph(text)).adjugate
+            path = gfile(text)
+            assert run(capsys, "validate", "--graph", path)[0] == 0
+            code, out, err = run(capsys, "estar", "--graph", path, "--vertex", "a")
+            assert (code, out) == (1, "")
+            assert err.startswith("internal error: ")
 
 
 def test_python_m_version():

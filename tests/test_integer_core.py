@@ -14,7 +14,16 @@ from fractions import Fraction
 from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 
-from plumblat import Cycle, PlumbingGraph, chi, exactlin, intersection_data, pairing
+from plumblat import (
+    Cycle,
+    PlumbingGraph,
+    chi,
+    exactlin,
+    intersection_data,
+    pairing,
+    parse_graph,
+    serialize_graph,
+)
 from plumblat.chimin import (
     _shifted_quadratic,
     anticanonical_cycle,
@@ -121,14 +130,18 @@ def _path(rng, n):
 
 
 def test_intersection_data_matches_fraction_inverse_on_trees():
-    """det, |L'/L|, I^-1 = adjugate / det and Z_K = zk_nums / |det|, all
-    from the tree pass of branch determinants, against the Fraction
-    references, on every corpus tree, random trees of up to 40 vertices,
-    stars with 6 to 12 leaves and paths of up to 40 vertices (the rows are
-    carried across every edge, into and out of each subtree); the signs
-    (-1)^n need both parities of n."""
+    """det, |L'/L|, Z_K = zk_nums / |det| and the adjugate's diagonal, from
+    the O(n) tree pass, and then the rows I^-1 = adjugate / det, built on
+    first read, against the Fraction references, on fresh copies of every
+    corpus tree, random trees of up to 40 vertices, and stars with 6 to 12
+    leaves and paths of up to 40 vertices declared in random order, so
+    that the root of the pass sits anywhere in them (the rows are carried
+    across every edge, into and out of each subtree); the signs (-1)^n
+    need both parities of n."""
     rng = random.Random(1)
-    trees = list(corpus()) + [random_tree(rng, max_n=40) for _ in range(10)]
+    # the corpus graphs are shared between tests, so copies are analysed
+    trees = [parse_graph(serialize_graph(g)) for g in corpus()]
+    trees += [random_tree(rng, max_n=40) for _ in range(10)]
     trees += [_star(rng, k) for k in range(6, 13)]
     trees += [_path(rng, n) for n in (2, 3, 9, 17, 28, 40)]
     assert {g.n % 2 for g in trees} == {0, 1}
@@ -139,20 +152,36 @@ def test_intersection_data_matches_fraction_inverse_on_trees():
         data = intersection_data(g)
         assert data.det == det and data.group_order == abs(det)
         inv = exactlin.invert(m)
-        assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
+        assert [Fraction(a, det) for a in data.diagonal] == [
+            inv[v][v] for v in range(g.n)
+        ]
         zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
         assert [Fraction(x, abs(det)) for x in data.zk_nums] == zk
+        assert "adjugate" not in vars(data) and "matrix" not in vars(data)
+        assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
+        assert data.matrix == tuple(map(tuple, m))
 
 
 def test_intersection_data_of_a_long_blowup_chain():
-    """E8 with 200 chained blow-ups (208 vertices) is unimodular, and its
-    lattice data takes a tree pass of O(n^2) integer steps, not a dense
-    elimination."""
+    """E8 with 200 chained blow-ups (208 vertices) is unimodular.  Its
+    O(n) lattice data agrees with a Bareiss determinant, with the
+    adjunction equations I Z_K = e + 2 on the dense matrix, with the
+    diagonal of the adjugate rows and with the cofactors of both ends of
+    the chain; the rows take a tree pass of O(n^2) integer steps, not a
+    dense elimination."""
     g = blowup_chain(graph_e8(), "v3", 200).new_graph
+    m = g.matrix()
     start = time.perf_counter()
     data = intersection_data(g)
+    adj = data.adjugate
     assert time.perf_counter() - start < 1
-    assert g.n == 208 and abs(data.det) == 1 and data.group_order == 1
+    assert g.n == 208 and data.det == exactlin.det_bareiss(m) == 1
+    assert data.group_order == 1
+    assert exactlin.mat_vec(m, data.zk_nums) == [e + 2 for e in g.euler]
+    assert list(data.diagonal) == [row[v] for v, row in enumerate(adj)]
+    for v in (0, g.n - 1):
+        minor = [row[:v] + row[v + 1:] for row in m[:v] + m[v + 1:]]
+        assert data.diagonal[v] == exactlin.det_bareiss(minor)
 
 
 # -- chi, pairing and the shifted quadratic ----------------------------------
