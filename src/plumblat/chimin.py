@@ -44,10 +44,15 @@ def chi(lp: Cycle) -> Fraction:
     By adjunction (l', Z_K) = sum_v l'_v (E_v^2 + 2), so Z_K itself is
     not needed; the sums run over the integer numerators of l'.
     """
-    g, den, x = lp.graph, lp.den, lp.nums
-    lin = sum(xv * (e + 2) for xv, e in zip(x, g.euler))
-    quad = sum(map(mul, x, g.intersect(x)))
-    return Fraction(den * lin - quad, 2 * den * den)
+    den = lp.den
+    return Fraction(_twice_chi(lp.graph, lp.nums, den), 2 * den * den)
+
+
+def _twice_chi(g: PlumbingGraph, x, den=1) -> int:
+    """2 den^2 chi(x / den) = den sum_v x_v (e_v + 2) - sum_v x_v (I x)_v,
+    an integer, for integer numerators x."""
+    lin = sum([xv * (e + 2) for xv, e in zip(x, g.euler)])
+    return den * lin - sum(map(mul, x, g.intersect(x)))
 
 
 # -- Laufer algorithms -----------------------------------------------------
@@ -56,30 +61,35 @@ def chi(lp: Cycle) -> Fraction:
 def fundamental_cycle(g: PlumbingGraph) -> Cycle:
     """The minimal nonzero effective antinef cycle, by Laufer's algorithm.
 
-    Start from the reduced cycle E and repeatedly add E_v for the
-    smallest-index v with (z, E_v) > 0; negative definiteness guarantees
-    termination at the unique fundamental cycle.  The pairings s = I z
-    are kept: adding E_v adds e_v to s_v and 1 to s_u for each neighbour
-    u of v.
+    Start from the reduced cycle E and repeatedly add E_v for some v with
+    (z, E_v) > 0; negative definiteness guarantees termination at the
+    unique fundamental cycle, and every such sequence has the same length,
+    sum(Z_min) - n.  The pairings s = I z are kept: adding E_v adds e_v to
+    s_v and 1 to s_u for each neighbour u of v.  The vertices with s > 0
+    are kept on a worklist: u joins it when s_u becomes 1, and v stays on
+    it while s_v > 0, so a step costs the degree of v, not n.
     """
     n = g.n
     z = [1] * n
     s = g.intersect(z)
-    guard = intersection_data(g).group_order * sum(
-        abs(e) for e in g.euler
-    ) * n * n
+    euler, adj = g.euler, g._adj
+    guard = intersection_data(g).group_order * sum(map(abs, euler)) * n * n
+    work = [v for v in range(n) if s[v] > 0]
     steps = 0
-    while True:
-        v = next((i for i in range(n) if s[i] > 0), None)
-        if v is None:
-            return Cycle(g, z)
+    while work:
+        v = work.pop()
         z[v] += 1
-        s[v] += g.euler[v]
-        for u in g._adj[v]:
+        s[v] += euler[v]
+        if s[v] > 0:
+            work.append(v)
+        for u in adj[v]:
             s[u] += 1
+            if s[u] == 1:
+                work.append(u)
         steps += 1
         if steps > guard:
             raise InternalError("Laufer iteration exceeded its step guard")
+    return Cycle(g, z)
 
 
 def laufer_reduce(z: Cycle, lp: Cycle) -> Cycle:
@@ -215,16 +225,13 @@ def _level_box(g: PlumbingGraph, l0):
     """
     data = intersection_data(g)
     den, k = data.group_order, data.zk_nums
-    # 2 chi(l0) = lin - quad, as in chi
-    lin = sum(x * (e + 2) for x, e in zip(l0, g.euler))
-    quad = sum(map(mul, l0, g.intersect(l0)))
-    level = 4 * den * (lin - quad) - sum(x * (e + 2) for x, e in zip(k, g.euler))
+    start = _twice_chi(g, l0)
+    level = 4 * den * start - sum([x * (e + 2) for x, e in zip(k, g.euler)])
     scale = 4 * den * data.det
-    radius = tuple(
-        _ceil_sqrt(-(level * a // scale)) for a in data.diagonal
-    )
-    hi = tuple(max(x // (2 * den) + r, s) for x, r, s in zip(k, radius, l0))
-    return lin - quad, level, radius, hi
+    radius = tuple([_ceil_sqrt(-(level * a // scale)) for a in data.diagonal])
+    den2 = 2 * den
+    hi = tuple([max(x // den2 + r, s) for x, r, s in zip(k, radius, l0)])
+    return start, level, radius, hi
 
 
 def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertificate:
@@ -291,16 +298,32 @@ def _artin_min(g: PlumbingGraph, hi):
     for c in reversed(order):
         f = tables[c]
         tables[c] = None
-        f[0] = None if gap[c] is None else free[c] + gap[c]
-        least = min((x for x in f if x is not None), default=None)
+        f0 = gap[c]
+        if f0 is not None:
+            f0 += free[c]
+        if len(f) > 1:
+            least = min(f[1:])
+            if f0 is not None and f0 < least:
+                least = f0
+        else:
+            least = f0
         v = parent[c]
         if v < 0:
             return least
         if least is None:
             continue  # the subtree holds only its zero point
-        free[v] += min(0, least)
-        gap[v] = max(least, 0) if gap[v] is None else min(gap[v], max(least, 0))
-        f[0] = 0 if f[0] is None else min(0, f[0])
+        if least < 0:
+            free[v] += least
+            gap[v] = 0
+        elif gap[v] is None or least < gap[v]:
+            gap[v] = least
+        f[0] = g0 = 0 if f0 is None or f0 > 0 else f0
+        fv = tables[v]
+        if len(f) == 1:  # the message is G_c(0) at every s
+            if g0:
+                for s in range(1, len(fv)):
+                    fv[s] += g0
+            continue
         hull = []
         for t, y in enumerate(f):
             while len(hull) > 1:
@@ -309,9 +332,9 @@ def _artin_min(g: PlumbingGraph, hi):
                     break
                 hull.pop()
             hull.append((t, y))
-        fv, j = tables[v], 0
+        j, last = 0, len(hull) - 1
         for s in range(1, len(fv)):
-            while j + 1 < len(hull):
+            while j < last:
                 (t0, y0), (t1, y1) = hull[j], hull[j + 1]
                 if y1 - y0 > 2 * s * (t1 - t0):
                     break
@@ -331,17 +354,20 @@ def is_rational(g: PlumbingGraph, budget: int | None = None) -> bool:
     over the nonzero points of the box (:func:`_artin_min`) decides.
 
     The independent chi(Z_min) = 1 check (Laufer) must agree; a mismatch
-    is an implementation bug.
+    is an implementation bug.  It is made in integers, 2 chi(Z_min) = 2
+    (:func:`_twice_chi`), and chi(Z_min) is a Fraction only in the error.
     """
     lo = (0,) * g.n
     hi = _level_box(g, lo)[3]
     _budget_gate(lo, hi, budget)
     least = _artin_min(g, hi)
     rational = least is None or least > 0
-    chi_zmin = chi(fundamental_cycle(g))
-    if rational != (chi_zmin == 1):
+    zmin = fundamental_cycle(g)
+    den = zmin.den
+    chi2 = _twice_chi(g, zmin.nums, den)  # 2 den^2 chi(Z_min)
+    if rational != (chi2 == 2 * den * den):
         raise InternalError(
             "rationality cross-check disagreement: least 2 chi over the "
-            f"nonzero l >= 0 = {least}, chi(Z_min) = {chi_zmin}"
+            f"nonzero l >= 0 = {least}, chi(Z_min) = {Fraction(chi2, 2 * den * den)}"
         )
     return rational

@@ -156,12 +156,13 @@ class PlumbingGraph:
 
     def intersect(self, x):
         """The pairings (x, E_v) for every vertex v, i.e. the product I x,
-        for a vector x of ints or Fractions; a tree has n - 1 edges, so
-        this costs O(n)."""
-        return [
-            e * xi + sum(map(x.__getitem__, nbrs))
-            for e, xi, nbrs in zip(self.euler, x, self._adj)
-        ]
+        for a vector x of ints or Fractions: the diagonal e_v x_v, then one
+        pass over the n - 1 edges of the tree, so this costs O(n)."""
+        y = list(map(mul, self.euler, x))
+        for i, j in self.edges:
+            y[i] += x[j]
+            y[j] += x[i]
+        return y
 
     def _validate(self):
         """A tree whose form I is negative definite, by Sylvester's

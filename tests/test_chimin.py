@@ -348,6 +348,22 @@ def test_artin_min_matches_brute_force():
     ]
     assert low == [(0, 0, 2, 1, 1, 1)]
     assert chimin._artin_min(g, hi) == 0 == _brute_artin_min(g, hi)
+    # two copies of a star whose least 2 chi is negative, joined through c
+    # with hi_c = 0: the box splits into the two stars' boxes, so the least
+    # is twice the star's, which needs the one-entry table of c to add its
+    # subtree's negative value at every l_x3 >= 1
+    legs = [("x0", -2), ("x1", -7), ("x2", -7), ("x3", -7)]
+    star = PlumbingGraph([("x", -1)] + legs, [("x", v) for v, _ in legs])
+    star_hi = (19, 10, 3, 3, 3)
+    least = _brute_artin_min(star, star_hi)
+    assert least < 0
+    g = PlumbingGraph(
+        [("x", -1)] + legs + [("c", -2), ("y", -1)] + [("y" + v[1], e) for v, e in legs],
+        [("x", v) for v, _ in legs]
+        + [("y", "y" + v[1]) for v, _ in legs]
+        + [("x3", "c"), ("c", "y3")],
+    )
+    assert chimin._artin_min(g, star_hi + (0,) + star_hi) == 2 * least
 
 
 def test_is_rational_on_blowups_beyond_any_walk():
@@ -439,3 +455,35 @@ def test_laufer_cross_check_disagreement_raises(monkeypatch):
     monkeypatch.setattr(chimin, "fundamental_cycle", lambda g: Cycle.basis(g, "c"))
     with pytest.raises(InternalError, match="cross-check"):
         is_rational(graph_t237())  # chi(E_c) = 1 claims rational
+
+
+def _scan_fundamental_cycle(g):
+    """Laufer's algorithm with the smallest-index choice of v at every
+    step, on the dense matrix: the reference for the worklist."""
+    m, n = g.matrix(), g.n
+    z = [1] * n
+    s = [sum(row) for row in m]  # I z
+    while True:
+        v = next((i for i in range(n) if s[i] > 0), None)
+        if v is None:
+            return Cycle(g, z)
+        z[v] += 1
+        for i in range(n):
+            s[i] += m[i][v]
+
+
+def test_worklist_fundamental_cycle_matches_the_index_scan():
+    """Z_min does not depend on the order of Laufer's steps: the worklist
+    finds the cycle of the smallest-index scan, with the same chi, on every
+    corpus tree and on 40-fold chained and edge blow-ups of E8 and
+    (2,3,7)."""
+    graphs = list(corpus())
+    start = time.perf_counter()
+    for g, edge in ((graph_e8(), ("v3", "v4")), (graph_t237(), ("c", "q"))):
+        graphs += [blowup_chain(g, edge[0], 40).new_graph, blowup_edge_chain(g, *edge, 40).new_graph]
+    for g in graphs:
+        z = fundamental_cycle(g)
+        want = _scan_fundamental_cycle(g)
+        assert z == want
+        assert chi(z) == chi(want)
+    assert time.perf_counter() - start < 1

@@ -1,4 +1,5 @@
 import gc
+from fractions import Fraction
 import random
 import tracemalloc
 
@@ -268,3 +269,24 @@ def test_lattice_data_is_freed_with_the_graph():
     finally:
         tracemalloc.stop()
     assert second - first < 250_000
+
+
+def test_intersect_matches_the_dense_product():
+    """intersect, one pass over the edge list, equals the dense product
+    matrix() x for int and Fraction vectors, on random trees of up to 40
+    vertices declared with their edges in a shuffled order and with
+    either endpoint first."""
+    rng = random.Random(1972)
+    for _ in range(60):
+        g = random_tree(rng, max_n=40)
+        edges = [(g.names[i], g.names[j])[:: rng.choice((1, -1))] for i, j in g.edges]
+        rng.shuffle(edges)
+        h = PlumbingGraph(list(zip(g.names, g.euler)), edges)
+        assert h == g
+        m = h.matrix()
+        ints = [rng.randint(-9, 9) for _ in range(h.n)]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(h.n)]
+        for x in (ints, fracs, tuple(ints)):
+            dense = [sum(a * b for a, b in zip(row, x)) for row in m]
+            assert h.intersect(x) == dense
+            assert list(map(type, h.intersect(x))) == list(map(type, dense))
