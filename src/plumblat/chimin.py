@@ -269,6 +269,11 @@ def min_chi_lower_bounded(c: Cycle, budget: int | None = None) -> MinChiCertific
     )
 
 
+def _vertex_terms(e, h):
+    """The vertex term (e + 2) t - e t^2 of 2 chi for 0 <= t <= h."""
+    return [(e + 2) * t - e * t * t for t in range(h + 1)]
+
+
 def _artin_min(g: PlumbingGraph, hi):
     """The least 2 chi(l) over the nonzero integer l in the box [0, hi], or
     None when the box holds only the origin.
@@ -286,18 +291,21 @@ def _artin_min(g: PlumbingGraph, hi):
 
     A message is the lower envelope of one line per t, and its minimizing
     t grows with s along the lower convex hull of the points (t, G_c(t)),
-    so it costs O(hi_c + hi_v) steps.  The tables hold sum (hi_v + 1)
-    values.
+    so it costs O(hi_c + hi_v) steps.  A table is built at its vertex's
+    first child message, or at its own turn, and dropped after that turn,
+    so only the tables on one path from the root are held at once.
     """
-    tables = [
-        [(e + 2) * t - e * t * t for t in range(h + 1)] for e, h in zip(g.euler, hi)
-    ]
+    euler = g.euler
+    tables = [None] * g.n
     order, parent = g._rooted_tree()
     free = [0] * g.n  # sum over the children of min(0, N_c)
     gap = [None] * g.n  # least max(N_c, 0) over the children
     for c in reversed(order):
         f = tables[c]
-        tables[c] = None
+        if f is None:
+            f = _vertex_terms(euler[c], hi[c])
+        else:
+            tables[c] = None
         f0 = gap[c]
         if f0 is not None:
             f0 += free[c]
@@ -319,6 +327,8 @@ def _artin_min(g: PlumbingGraph, hi):
             gap[v] = least
         f[0] = g0 = 0 if f0 is None or f0 > 0 else f0
         fv = tables[v]
+        if fv is None:
+            fv = tables[v] = _vertex_terms(euler[v], hi[v])
         if len(f) == 1:  # the message is G_c(0) at every s
             if g0:
                 for s in range(1, len(fv)):

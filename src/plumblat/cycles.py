@@ -7,8 +7,9 @@ formulas treat them.  Every denominator in L' divides |det I|, so a cycle
 is stored as integer numerators ``nums`` over one positive denominator
 ``den``, in lowest terms: equal cycles have equal ``(den, nums)``, and
 ``den == 1`` exactly when the cycle is integral.  The pairing, the dual
-base and the arithmetic work on these integers, with the integer adjugate
-of the intersection matrix, and so do the E*-coordinates -(l', E_v).
+base and the arithmetic work on these integers, and so do the
+E*-coordinates -(l', E_v); the dual base E*_v and sum a_v E*_v come from
+one checked O(n) solve with the adjugate over the tree.
 Coordinates are Fractions only in ``coeffs``, ``z[v]`` and ``estar_decompose``.
 """
 
@@ -24,7 +25,7 @@ from .errors import (
     GraphSyntaxError,
     UnknownVertex,
 )
-from .graph import PlumbingGraph, intersection_data, subgraph
+from .graph import PlumbingGraph, _adj_solve, intersection_data, subgraph
 
 _INT = frozenset([int])
 _EXACT = frozenset([int, Fraction])
@@ -209,12 +210,13 @@ def pairing(a: Cycle, b: Cycle) -> Fraction:
 def estar(g: PlumbingGraph, v) -> Cycle:
     """Dual base element: the unique cycle pairing to -1 with E_v, 0 else.
 
-    It is the v-column of -I^{-1} = -adj / det; all its coordinates are
+    It is the v-column of -I^{-1} = adj(-I) / det(-I), from one O(n)
+    solve with k = E_v (:func:`_from_estar_nums`); all its coordinates are
     strictly positive on a negative-definite connected graph.
     """
-    i = g.index(v)
-    data = intersection_data(g)
-    return Cycle.from_nums(g, -data.det, [row[i] for row in data.adjugate])
+    k = [0] * g.n
+    k[g.index(v)] = 1
+    return _from_estar_nums(g, 1, k)
 
 
 def _estar_nums(lp: Cycle) -> list:
@@ -225,11 +227,12 @@ def _estar_nums(lp: Cycle) -> list:
 
 def _from_estar_nums(g: PlumbingGraph, den: int, a) -> Cycle:
     """The cycle sum a_v E*_v with E*-coordinates a[i] / den (integers
-    a, den > 0): since (E*_v, E_w) = -delta_vw it is -adj a / (det den)."""
+    a, den > 0): since (E*_v, E_w) = -delta_vw it is -I^-1 a / den =
+    adj P a / (det P den) with P = -I, and adj P a is one checked O(n)
+    solve over the tree (:func:`graph._adj_solve`)."""
     data = intersection_data(g)
-    return Cycle.from_nums(
-        g, -data.det * den, [sum(map(mul, row, a)) for row in data.adjugate]
-    )
+    x = _adj_solve(g, data._dets, data._r_prod, a)
+    return Cycle.from_nums(g, data.group_order * den, x)
 
 
 def estar_decompose(lp: Cycle):

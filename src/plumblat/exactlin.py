@@ -2,10 +2,10 @@
 
 No module of the library calls these routines.  A graph is validated by
 one leaf-to-root pass of subtree determinants (``graph._forest_dets``),
-its lattice data comes from branch determinants over the same tree (det,
-Z_K and the adjugate's diagonal from ``graph._branch_dets`` and
-``graph._tree_solve``, the adjugate's rows from ``graph._tree_adjugate``),
-and a blow-up chain writes its pullback rows down directly.  The Fraction and integer
+its lattice data comes from branch determinants over the same tree (det
+and the adjugate's diagonal from ``graph._branch_dets``, and Z_K and the
+dual base from the solve ``graph._adj_solve``), and a blow-up chain
+writes its pullback rows down directly.  The Fraction and integer
 routines below (``invert``, ``solve``, ``mat_vec``, ``identity``,
 ``mat_mul``, ``leading_minors`` and ``det_bareiss``) are the independent
 references the tests compare against.  The package imports this module

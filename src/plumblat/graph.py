@@ -8,8 +8,10 @@ formula assumes negative definiteness.
 :func:`intersection_data` holds the lattice data in integers, from
 branch determinants over the same tree (no elimination of a matrix), on
 first use and kept on the graph: the determinant, Z_K and the diagonal
-of the adjugate det * I^-1 from one O(n) pass, and the adjugate's rows
-and the dense matrix, O(n^2), only when they are first read.
+of the adjugate det * I^-1 from one O(n) pass, whose branch
+determinants also give every product with the adjugate (Z_K and the dual
+base E*_v) by one checked O(n) solve; the dense matrix, O(n^2), is built
+only when it is first read.
 """
 
 from __future__ import annotations
@@ -251,71 +253,34 @@ def _tree_solve(g: PlumbingGraph, dets, r_prod, k):
     return x
 
 
-def _tree_adjugate(g: PlumbingGraph):
-    """The rows of adj P, P = -I, in index order: the rerooted pass of
-    branch determinants, O(n^2) integer steps.  The root's row follows
-    the edges down from A_root; along the edge from v to a child c a row
-    changes by A_c / (D_c U_c) = R_c / D_c at the vertices off the subtree
-    of c and by D_c U_c / A_v on it (:func:`_branch_dets`).  Every
-    division is exact.
-    """
-    order, parent = g._rooted_tree()
-    dets, r_prod, diag = _branch_dets(g)
-    n = g.n
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    row = [0] * n  # the root's row, in preorder
-    row[0] = diag[0]
-    for c in order[1:]:
-        row[pos[c]] = row[pos[parent[c]]] // dets[c] * r_prod[c]
-    rows = [None] * n
-    rows[0] = row
-    for c in order[1:]:
-        v, d, r = parent[c], dets[c], r_prod[c]
-        i, j = pos[c], pos[c] + size[c]
-        a, u = diag[v] // d, diag[c] // r
-        row = rows[v]
-        rows[c] = (
-            [x // d * r for x in row[:i]]
-            + [x // a * u for x in row[i:j]]
-            + [x // d * r for x in row[j:]]
-        )
-    return tuple(tuple(map(row.__getitem__, pos)) for row in rows)
+def _adj_solve(g: PlumbingGraph, dets, r_prod, k):
+    """x = adj P k for P = -I, by one subtree solve (:func:`_tree_solve`),
+    checked in O(n) over the edge list: I x = -det P k, since
+    I adj P = -det P 1.  The library's one product with the adjugate:
+    Z_K, E*_v and sum a_v E*_v all come from it."""
+    x = _tree_solve(g, dets, r_prod, k)
+    det_p = dets[0]
+    if g.intersect(x) != [-det_p * kv for kv in k]:
+        raise InternalError("solve check I adj(-I) k = -det(-I) k failed")
+    return x
 
 
 @dataclass(frozen=True)
 class IntersectionData:
     """Exact integer data of the intersection form of one graph:
-    Z_K = zk_nums / group_order and diagonal = the diagonal of
-    adjugate = det * I^-1.  det, group_order, zk_nums and diagonal come
-    from one O(n) tree pass; the O(n^2) ``adjugate`` and ``matrix`` are
-    built on first read and then kept."""
+    Z_K = zk_nums / group_order and diagonal = the diagonal of the
+    adjugate det * I^-1, from one O(n) tree pass.  The branch
+    determinants D and R of that pass (:func:`_branch_dets`) are kept
+    for the solves x = adj(-I) k (:func:`_adj_solve`); the dense
+    ``matrix`` is built on first read and then kept."""
 
     det: int
     group_order: int  # |L'/L| = |det|
     zk_nums: tuple
-    diagonal: tuple  # adjugate[v][v]
+    diagonal: tuple  # adj(I)_vv
     graph: PlumbingGraph = field(repr=False, compare=False)
-
-    @cached_property
-    def adjugate(self):
-        """det * I^-1 as a tuple of integer rows, from the row pass
-        (:func:`_tree_adjugate`), with I adj = det 1 checked column by
-        column in O(n) each, since a tree has n - 1 edges."""
-        g, det = self.graph, self.det
-        adj = _tree_adjugate(g)
-        if g.n % 2 == 0:  # adj I = (-1)^(n-1) adj P
-            adj = tuple(tuple(map(neg, row)) for row in adj)
-        # I adj^T = det 1 forces adj^T = det I^-1 = adj, so rows will do
-        for v, row in enumerate(adj):
-            col = g.intersect(row)
-            if col.pop(v) != det or any(col):
-                raise InternalError("adjugate check I adj = det 1 failed")
-        return adj
+    _dets: list = field(repr=False, compare=False)
+    _r_prod: list = field(repr=False, compare=False)
 
     @cached_property
     def matrix(self):
@@ -328,17 +293,15 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
     P = -I, which is positive definite: |det| = det P = D_root,
     det I = (-1)^n det P and adj I = (-1)^(n-1) adj P, whose diagonal is
     A_v (:func:`_branch_dets`); Z_K = I^-1 (e + 2) = -adj P (e + 2) / det P
-    by adjunction (:func:`_tree_solve`).  Both are checked in O(n):
-    I zk_nums = det P (e + 2), and the (v, v) entries of P adj P = det P 1
-    from A and the edge entries adj P_vc = A_v R_c / D_c."""
+    by adjunction (:func:`_adj_solve`, which checks it).  The diagonal is
+    checked in O(n) too: the (v, v) entries of P adj P = det P 1 from A
+    and the edge entries adj P_vc = A_v R_c / D_c."""
     data = g._lattice
     if data is None:
         dets, r_prod, diag = _branch_dets(g)
         det_p = dets[0]
         k = [e + 2 for e in g.euler]
-        zk_nums = tuple(map(neg, _tree_solve(g, dets, r_prod, k)))
-        if g.intersect(zk_nums) != [det_p * kv for kv in k]:
-            raise InternalError("Z_K check I Z_K = e + 2 failed")
+        zk_nums = tuple(map(neg, _adj_solve(g, dets, r_prod, k)))
         order, parent = g._rooted_tree()
         col = [-e * a for e, a in zip(g.euler, diag)]  # (P adj P)_vv
         for c in order[1:]:
@@ -352,7 +315,9 @@ def intersection_data(g: PlumbingGraph) -> IntersectionData:
             det, diag = -det_p, tuple(diag)
         else:
             det, diag = det_p, tuple(map(neg, diag))
-        data = g._lattice = IntersectionData(det, det_p, zk_nums, diag, g)
+        data = g._lattice = IntersectionData(
+            det, det_p, zk_nums, diag, g, dets, r_prod
+        )
     return data
 
 

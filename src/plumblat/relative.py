@@ -139,12 +139,13 @@ class GenericNaturalOracle(H1Oracle):
                 "the generic-natural oracle needs a Chern class in the dual lattice"
             )
         self.lp = lp
+        self._lp_estar = _estar_nums(lp)
 
     def value(self, l):
         g, den, point = self.z.graph, self.lp.den, l.int_coeffs()
         hi = [min(a - b, c) for a, b, c in zip(self.z.nums, point, self.z1.nums)]
         # E*-numerators of l' - l over den: a(l') + den I l, a(x) = -I x
-        a = [x + den * y for x, y in zip(_estar_nums(self.lp), g.intersect(point))]
+        a = [x + den * y for x, y in zip(self._lp_estar, g.intersect(point))]
         # chi(-l'+l) - min chi(-l'+l+m) over [0, hi] is -val / 2d
         val, d, _, _ = _minimize(g, den, a, range(g.n), (0,) * g.n, hi, None)
         return -val // (2 * d)

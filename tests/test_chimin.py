@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from plumblat import (
     min_chi_lower_bounded,
     pairing,
 )
-from plumblat import chimin, graph, kernels
+from plumblat import chimin, kernels
 from plumblat.surgery import blowup_chain, blowup_edge_chain
 
 from conftest import (
@@ -366,6 +368,26 @@ def test_artin_min_matches_brute_force():
     assert chimin._artin_min(g, star_hi + (0,) + star_hi) == 2 * least
 
 
+def test_artin_min_holds_only_the_tables_on_one_path():
+    """A table of the min-sum pass is built at its vertex's first child
+    message and dropped after its turn, so one call on (2,3,7) with 40
+    blow-ups of the edge c-q (44 vertices, sum (hi_v + 1) = 18,450)
+    allocates under half of one small int per box coordinate value at its
+    peak; building every table up front takes about 0.7 MB here."""
+    g = blowup_edge_chain(graph_t237(), "c", "q", 40).new_graph
+    hi = chimin._level_box(g, (0,) * g.n)[3]
+    entries = sum(h + 1 for h in hi)
+    assert entries == 18_450
+    tracemalloc.start()
+    try:
+        least = chimin._artin_min(g, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert least == 0
+    assert peak < entries * sys.getsizeof(1) // 2
+
+
 def test_is_rational_on_blowups_beyond_any_walk():
     """E8 (rational) and (2,3,7) (not rational) with 40 chained blow-ups
     and with 40 edge blow-ups: boxes of 10^46 to 10^106 points, which no
@@ -401,13 +423,13 @@ def test_is_rational_and_lattice_data_use_no_kernel(monkeypatch):
     assert not is_rational(blowup_chain(graph_t237(), "c", 40).new_graph, budget=10**60)
 
 
-def test_is_rational_reads_no_adjugate_rows(monkeypatch):
+def test_is_rational_reads_no_dense_matrix(monkeypatch):
     """Artin's test, Laufer's algorithms, Z_K and the validate data read
-    only the O(n) lattice data: with the adjugate row pass and the dense
-    matrix made to raise, fresh graphs get the same verdicts, cycles and
-    data as copies analysed beforehand, and E8 with 200 chained blow-ups,
-    whose box of {chi <= 0} has about 10^277 points, is decided in well
-    under a second."""
+    only the O(n) lattice data: with the dense matrix made to raise,
+    fresh graphs get the same verdicts, cycles and data as copies analysed
+    beforehand, and E8 with 200 chained blow-ups, whose box of
+    {chi <= 0} has about 10^277 points, is decided in well under a
+    second."""
     rng = random.Random(24)
     specs = [random_tree(rng, max_n=12) for _ in range(60)]
     specs += [graph_e8(), graph_t237(), blowup_edge_chain(graph_e8(), "v3", "v4", 30).new_graph]
@@ -435,7 +457,6 @@ def test_is_rational_reads_no_adjugate_rows(monkeypatch):
     def forbidden(*args):
         raise AssertionError("O(n^2) lattice data built")
 
-    monkeypatch.setattr(graph, "_tree_adjugate", forbidden)
     monkeypatch.setattr(PlumbingGraph, "matrix", forbidden)
     assert [facts(copy(g)) for g in specs] == want
     g = blowup_chain(graph_e8(), "v3", 200).new_graph

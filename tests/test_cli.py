@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import plumblat
-from plumblat import InternalError, graph, intersection_data, parse_graph
+from plumblat import InternalError, estar, graph, intersection_data, parse_graph
 from plumblat.cli import main
 
 A1 = "vertex v -2\n"
@@ -558,25 +558,26 @@ def test_internal_error_exits_1(gfile, capsys, monkeypatch):
             assert err.startswith("internal error: ")
 
 
-def test_internal_error_in_the_adjugate_rows_exits_1(gfile, capsys, monkeypatch):
-    """A corrupted adjugate entry fails the check I adj = det 1 where the
-    rows are built, on the first read: validate, which reads only the O(n)
-    data, still succeeds, and estar, which reads a column, exits 1.  The
-    entry is a diagonal one on A2, and on A3 the corner (a, c), which
-    moves only off-diagonal entries of I adj."""
-    tree_adjugate = graph._tree_adjugate
+def test_internal_error_in_a_dual_base_solve_exits_1(gfile, capsys, monkeypatch):
+    """A corrupted solve x = adj(-I) k of a unit vector k fails the check
+    I x = -det(-I) k of that solve: validate, whose Z_K solve is left
+    intact (k = e + 2 is not a unit vector on these graphs), still
+    succeeds, and estar, which solves for k = E_a, exits 1.  The corrupted
+    entry is the solved vertex itself on A2 and the far end c on A3."""
+    tree_solve = graph._tree_solve
     a3 = "vertex a -2\nvertex b -2\nvertex c -2\nedge a b\nedge b c\n"
     for text, j in ((A2, 0), (a3, 2)):
 
-        def corrupted(g):
-            adj = [list(row) for row in tree_adjugate(g)]
-            adj[0][j] += 1
-            return tuple(map(tuple, adj))
+        def corrupted(g, dets, r_prod, k):
+            x = tree_solve(g, dets, r_prod, k)
+            if sorted(k) == [0] * (g.n - 1) + [1]:
+                x[j] += 1
+            return x
 
         with monkeypatch.context() as m:
-            m.setattr(graph, "_tree_adjugate", corrupted)
+            m.setattr(graph, "_tree_solve", corrupted)
             with pytest.raises(InternalError):
-                intersection_data(parse_graph(text)).adjugate
+                estar(parse_graph(text), "a")
             path = gfile(text)
             assert run(capsys, "validate", "--graph", path)[0] == 0
             code, out, err = run(capsys, "estar", "--graph", path, "--vertex", "a")

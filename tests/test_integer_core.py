@@ -131,13 +131,14 @@ def _path(rng, n):
 
 def test_intersection_data_matches_fraction_inverse_on_trees():
     """det, |L'/L|, Z_K = zk_nums / |det| and the adjugate's diagonal, from
-    the O(n) tree pass, and then the rows I^-1 = adjugate / det, built on
-    first read, against the Fraction references, on fresh copies of every
-    corpus tree, random trees of up to 40 vertices, and stars with 6 to 12
-    leaves and paths of up to 40 vertices declared in random order, so
-    that the root of the pass sits anywhere in them (the rows are carried
-    across every edge, into and out of each subtree); the signs (-1)^n
-    need both parities of n."""
+    the O(n) tree pass, and the dual base E*_v, the columns of -I^-1, by
+    one O(n) solve each, against the Fraction references, on fresh copies
+    of every corpus tree, random trees of up to 40 vertices, and stars
+    with 6 to 12 leaves and paths of up to 40 vertices declared in random
+    order, so that the root of the pass sits anywhere in them (each solve
+    is carried across every edge, into and out of each subtree); the
+    signs (-1)^n need both parities of n.  The dense matrix is built only
+    when it is read."""
     rng = random.Random(1)
     # the corpus graphs are shared between tests, so copies are analysed
     trees = [parse_graph(serialize_graph(g)) for g in corpus()]
@@ -157,31 +158,34 @@ def test_intersection_data_matches_fraction_inverse_on_trees():
         ]
         zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
         assert [Fraction(x, abs(det)) for x in data.zk_nums] == zk
-        assert "adjugate" not in vars(data) and "matrix" not in vars(data)
-        assert [[Fraction(a, det) for a in row] for row in data.adjugate] == inv
+        for i, v in enumerate(g.names):
+            assert estar(g, v).coeffs == tuple(-row[i] for row in inv)
+        assert "matrix" not in vars(data)
         assert data.matrix == tuple(map(tuple, m))
 
 
 def test_intersection_data_of_a_long_blowup_chain():
     """E8 with 200 chained blow-ups (208 vertices) is unimodular.  Its
-    O(n) lattice data agrees with a Bareiss determinant, with the
-    adjunction equations I Z_K = e + 2 on the dense matrix, with the
-    diagonal of the adjugate rows and with the cofactors of both ends of
-    the chain; the rows take a tree pass of O(n^2) integer steps, not a
-    dense elimination."""
+    O(n) lattice data and its dual base agree with a Bareiss determinant,
+    with the adjunction equations I Z_K = e + 2 on the dense matrix, with
+    the cofactors of both ends of the chain, and with the dense matrix at
+    both ends, I E*_v = -E_v, which fixes the columns of -I^-1 there; the
+    diagonal of the adjugate is -det (E*_v)_v at every vertex.  The whole
+    dual base takes n solves of O(n) integer steps, not an inversion."""
     g = blowup_chain(graph_e8(), "v3", 200).new_graph
     m = g.matrix()
     start = time.perf_counter()
     data = intersection_data(g)
-    adj = data.adjugate
+    dual = [estar(g, v) for v in g.names]
     assert time.perf_counter() - start < 1
     assert g.n == 208 and data.det == exactlin.det_bareiss(m) == 1
-    assert data.group_order == 1
+    assert data.group_order == 1 and {e.den for e in dual} == {1}
     assert exactlin.mat_vec(m, data.zk_nums) == [e + 2 for e in g.euler]
-    assert list(data.diagonal) == [row[v] for v, row in enumerate(adj)]
+    assert list(data.diagonal) == [-data.det * e.nums[v] for v, e in enumerate(dual)]
     for v in (0, g.n - 1):
         minor = [row[:v] + row[v + 1:] for row in m[:v] + m[v + 1:]]
         assert data.diagonal[v] == exactlin.det_bareiss(minor)
+        assert exactlin.mat_vec(m, dual[v].nums) == [-(w == v) for w in range(g.n)]
 
 
 # -- chi, pairing and the shifted quadratic ----------------------------------
@@ -231,10 +235,7 @@ def old_lower_bounded_certificates(g):
     from the feasible start l0 = max(c, ceil(Z_K/2)), radii
     ceil(sqrt(2 level (-I^-1)_vv)) and box_hi = max(floor(Z_K/2) + r, l0)."""
     m = g.matrix()
-    # I^-1 as Fractions from the adjugate, which
-    # test_intersection_data_matches_fraction_inverse_on_trees checks
-    data = intersection_data(g)
-    inv = [[Fraction(a, data.det) for a in row] for row in data.adjugate]
+    inv = exactlin.invert(m)
     zk = exactlin.mat_vec(inv, [e + 2 for e in g.euler])
 
     def frac_chi(x):

@@ -1,4 +1,5 @@
 import random
+import timeit
 from fractions import Fraction
 from math import gcd
 
@@ -10,6 +11,7 @@ from plumblat import (
     EmptySubset,
     GraphMismatch,
     GraphSyntaxError,
+    PlumbingGraph,
     estar,
     estar_decompose,
     in_lipman_cone,
@@ -23,11 +25,14 @@ from plumblat import (
     restrict_cycle,
 )
 from plumblat.cycles import format_cycle, from_estar_coeffs
+from plumblat.surgery import blowup_chain, blowup_edge_chain
 
 from conftest import (
     graph_a1,
     graph_a2,
     graph_d4,
+    graph_e8,
+    graph_t237,
     random_rat_cycle,
     random_tree,
 )
@@ -83,6 +88,38 @@ def test_estar_decompose_roundtrip():
         coeffs, supp = estar_decompose(lp)
         assert from_estar_coeffs(g, coeffs) == lp
         assert supp == tuple(v for v in g.names if coeffs[v] != 0)
+
+
+def test_dual_base_at_scale_reads_no_dense_data(monkeypatch):
+    """The dual base of E8 with 200 chained blow-ups at v3 (208 vertices)
+    and of (2,3,7) with 200 blow-ups of the edge c-q (204 vertices) comes
+    from O(n) solves with no dense matrix: every E*_v pairs to -delta_vw,
+    E*-coordinates round-trip, and each estar call, the first one on a
+    fresh graph included, takes under 1 ms."""
+
+    def forbidden(*args):
+        raise AssertionError("dense intersection matrix built")
+
+    monkeypatch.setattr(PlumbingGraph, "matrix", forbidden)
+    rng = random.Random(26)
+    for g in (
+        blowup_chain(graph_e8(), "v3", 200).new_graph,
+        blowup_edge_chain(graph_t237(), "c", "q", 200).new_graph,
+    ):
+        vertices = list(zip(g.names, g.euler))
+        edges = [(g.names[i], g.names[j]) for i, j in g.edges]
+        fresh = iter([PlumbingGraph(vertices, edges) for _ in range(5)])
+        first = timeit.repeat(lambda: estar(next(fresh), g.names[0]), number=1, repeat=5)
+        assert min(first) < 1e-3
+        for i, v in enumerate(g.names):
+            e = estar(g, v)
+            want = [0] * g.n
+            want[i] = -e.den
+            assert g.intersect(e.nums) == want
+            assert min(timeit.repeat(lambda: estar(g, v), number=1, repeat=3)) < 1e-3
+        for _ in range(5):
+            lp = random_rat_cycle(rng, g)
+            assert from_estar_coeffs(g, estar_decompose(lp)[0]) == lp
 
 
 def test_estar_decompose_examples():
